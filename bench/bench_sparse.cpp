@@ -1,17 +1,12 @@
 // Sparse-solver bench + gate: dense vs sparse MNA on an N-conductor
 // coupled-bus harness (crossover curve over problem size, waveform
-// agreement, speedup at >= 200 unknowns), lane-batched corner transients
-// vs the scalar sparse loop (bit-identity + structural work reduction),
-// and the lane-batched emission sweep vs the scalar SweepRunner
-// (SweepSummary bit-identity). Results land in BENCH_sparse.json.
+// agreement, speedup at >= 200 unknowns). Results land in
+// BENCH_sparse.json.
 //
 //   bench_sparse [--smoke]
 //
 // Gates (nonzero exit on failure):
 //   * dense/sparse max waveform delta <= 1e-9 at every size
-//   * lane records bit-identical to scalar sparse runs
-//   * lane-batch structural walk ratio >= 1.5 at 4 lanes
-//   * sweep summaries bit-identical (scalar vs lane-batched)
 //   * full mode only: sparse >= 3x faster than dense at >= 200 unknowns
 //     (wall clock is recorded in smoke mode but not gated)
 #include <chrono>
@@ -26,13 +21,10 @@
 #include "circuit/devices_linear.hpp"
 #include "circuit/devices_nonlinear.hpp"
 #include "circuit/engine.hpp"
-#include "circuit/lane_engine.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tline.hpp"
-#include "experiments.hpp"
 #include "json_out.hpp"
 #include "signal/sample_sink.hpp"
-#include "sweep/sweep_runner.hpp"
 
 namespace {
 
@@ -146,7 +138,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== bench_sparse: sparse MNA + lane-batched corner transients ===%s\n",
+  std::printf("=== bench_sparse: dense vs sparse MNA ===%s\n",
               smoke ? "  [smoke mode]" : "");
   auto doc = bench::make_bench_doc("bench_sparse");
   doc.set("smoke", bench::Json::boolean(smoke));
@@ -214,150 +206,6 @@ int main(int argc, char** argv) {
   if (!smoke && big_speedup < 3.0) {
     std::printf("GATE FAILED: sparse speedup %.2fx < 3x at n = %d\n", big_speedup, big_n);
     ok = false;
-  }
-
-  // ---------------------------------------------------------------- B ----
-  // Lane-batched corner transients: 4 load/drive corners of one mid-size
-  // bus, advanced in lockstep vs looped through the scalar sparse engine.
-  {
-    BusSpec base;
-    base.conductors = 4;
-    base.sections = 8;
-    if (smoke) base.t_stop = 2e-9;
-    const double loads[] = {1e-12, 2e-12, 4e-12, 8e-12};
-    const std::size_t L = 4;
-
-    std::vector<ckt::Circuit> lane_c(L);
-    std::vector<ckt::Circuit*> lanes;
-    std::vector<sig::RecordingSink> recs(L);
-    std::vector<sig::SampleSink*> sinks;
-    std::vector<int> probes;
-    for (std::size_t l = 0; l < L; ++l) {
-      BusSpec spec = base;
-      spec.load_c = loads[l];
-      const auto far = build_bus(lane_c[l], spec);
-      if (l == 0) probes = far;
-      lanes.push_back(&lane_c[l]);
-      sinks.push_back(&recs[l]);
-    }
-
-    const auto opt = bus_options(base, ckt::SolverKind::kSparse);
-    ckt::LaneWorkspace lw;
-    const auto t_lanes = std::chrono::steady_clock::now();
-    const auto stats = ckt::run_transient_lanes(lanes, opt, lw, probes, sinks);
-    const double wall_lanes = seconds_since(t_lanes);
-
-    bool identical = true;
-    double wall_scalar = 0.0;
-    for (std::size_t l = 0; l < L; ++l) {
-      BusSpec spec = base;
-      spec.load_c = loads[l];
-      ckt::Circuit ref;
-      build_bus(ref, spec);
-      ckt::NewtonWorkspace ws;
-      sig::RecordingSink rec;
-      const auto t0 = std::chrono::steady_clock::now();
-      ckt::run_transient_streamed(ref, opt, ws, probes, rec);
-      wall_scalar += seconds_since(t0);
-      if (std::move(rec).take_data() != recs[l].data()) identical = false;
-    }
-    const double walk_ratio =
-        stats.batched_walk_entries > 0
-            ? static_cast<double>(stats.scalar_walk_entries) /
-                  static_cast<double>(stats.batched_walk_entries)
-            : 0.0;
-
-    std::printf("lane batch (4 lanes): scalar %.4f s, batched %.4f s, "
-                "walk ratio %.2fx, bit-identical: %s\n",
-                wall_scalar, wall_lanes, walk_ratio, identical ? "yes" : "NO");
-    if (!identical) {
-      std::printf("GATE FAILED: lane records differ from scalar sparse runs\n");
-      ok = false;
-    }
-    // Single-core container: the honest throughput gate is the structural
-    // work reduction (one pattern walk serves 4 lanes); wall time also
-    // carries the unbatchable device evaluations and is recorded only.
-    if (walk_ratio < 1.5) {
-      std::printf("GATE FAILED: lane-batch walk ratio %.2fx < 1.5x\n", walk_ratio);
-      ok = false;
-    }
-    auto lane_doc = bench::Json::object();
-    lane_doc.set("lanes", bench::Json::integer(static_cast<long>(L)));
-    lane_doc.set("bit_identical", bench::Json::boolean(identical));
-    lane_doc.set("walk_ratio", bench::Json::number(walk_ratio));
-    lane_doc.set("batched_walk_entries",
-                 bench::Json::integer(static_cast<long>(stats.batched_walk_entries)));
-    lane_doc.set("scalar_walk_entries",
-                 bench::Json::integer(static_cast<long>(stats.scalar_walk_entries)));
-    lane_doc.set("wall_s_scalar", bench::Json::number(wall_scalar));
-    lane_doc.set("wall_s_batched", bench::Json::number(wall_lanes));
-    doc.set("lane_batch", std::move(lane_doc));
-    doc.at("scenarios").push(bench::scenario_row("lane_batch_4", wall_lanes));
-  }
-
-  // ---------------------------------------------------------------- C ----
-  // Lane-batched emission sweep vs the scalar SweepRunner on a small grid:
-  // the SweepSummary aggregates must be bit-identical (both sides on the
-  // sparse backend, which is what the lane engine reproduces per lane).
-  {
-    std::printf("estimating MD3 PW-RBF macromodel...\n");
-    const auto t_est = std::chrono::steady_clock::now();
-    const auto model = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
-    doc.at("scenarios").push(bench::scenario_row("estimate_model", seconds_since(t_est)));
-
-    sweep::CornerAxes axes;
-    axes.vdd_scale = {0.95, 1.05};
-    axes.pattern_seed = {1};
-    axes.line_length = {0.1};
-    axes.load_c = {1e-12, 2e-12};
-    axes.detector = {sweep::Detector::kQuasiPeak};
-    axes.rbw = {20e6};
-    axes.pattern_bits = smoke ? 7 : 15;
-    const sweep::CornerGrid grid(axes);
-
-    sweep::EmissionSweepConfig cfg;
-    cfg.model = &model;
-    cfg.line = exp::mcm_fig3_params();
-    cfg.bit_time = 1e-9;
-    cfg.periods = 3;
-    cfg.rx.name = "wideband scan";
-    cfg.rx.f_start = 50e6;
-    cfg.rx.f_stop = 5e9;
-    cfg.rx.n_points = 20;
-    cfg.rx.tau_charge = 1e-9;
-    cfg.rx.tau_discharge = 30e-9;
-    cfg.mask = {"board-level conducted-style mask", {{50e6, 140.0}, {5e9, 90.0}}};
-    cfg.solver = ckt::SolverKind::kSparse;
-
-    sweep::SweepRunner serial(1);
-    const auto fn = sweep::make_emission_corner_fn(cfg);
-    const auto t_scalar = std::chrono::steady_clock::now();
-    const auto scalar = serial.run(grid, fn, {}, sweep::emission_chunk_hint(grid));
-    const double wall_scalar = seconds_since(t_scalar);
-
-    sweep::LaneSweepInfo info;
-    const auto t_lanes = std::chrono::steady_clock::now();
-    const auto lanes = sweep::run_emission_sweep_lanes(cfg, grid, 4, {}, &info);
-    const double wall_lanes = seconds_since(t_lanes);
-
-    const bool identical = scalar.summary == lanes.summary;
-    std::printf("sweep (%zu corners, %zu transients in %zu batches): scalar %.2f s, "
-                "lane-batched %.2f s, summaries bit-identical: %s\n",
-                grid.size(), info.transients, info.batches, wall_scalar, wall_lanes,
-                identical ? "yes" : "NO");
-    if (!identical) {
-      std::printf("GATE FAILED: lane-batched sweep summary differs from scalar\n");
-      ok = false;
-    }
-    auto sweep_doc = bench::Json::object();
-    sweep_doc.set("corners", bench::Json::integer(static_cast<long>(grid.size())));
-    sweep_doc.set("transients", bench::Json::integer(static_cast<long>(info.transients)));
-    sweep_doc.set("batches", bench::Json::integer(static_cast<long>(info.batches)));
-    sweep_doc.set("bit_identical", bench::Json::boolean(identical));
-    sweep_doc.set("wall_s_scalar", bench::Json::number(wall_scalar));
-    sweep_doc.set("wall_s_lane_batched", bench::Json::number(wall_lanes));
-    doc.set("sweep_equivalence", std::move(sweep_doc));
-    doc.at("scenarios").push(bench::scenario_row("sweep_lane_batched", wall_lanes));
   }
 
   doc.set("gates_passed", bench::Json::boolean(ok));

@@ -37,7 +37,7 @@ struct SimState {
 /// Assembles the linearized MNA system; devices talk only to this.
 ///
 /// Abstract on purpose: a device's stamp is target-agnostic. The engine
-/// routes it into a dense Jacobian, a sparse matrix lane, or a pure
+/// routes it into a dense Jacobian, a sparse matrix, or a pure
 /// pattern-discovery pass through the implementations in
 /// circuit/stampers.hpp — the device never knows which.
 class Stamper {

@@ -46,13 +46,15 @@ bool circuit_is_linear(const Circuit& ckt) {
   return true;
 }
 
+namespace {
+
+/// Structure-discovery pass: stamp every device through a PatternStamper
+/// at `state` and return the recorded positions (0-based, ground dropped).
 std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& state) {
   PatternStamper ps;
   for (const auto& dev : ckt.devices()) dev->stamp(ps, state);
   return std::move(ps).take_coords();
 }
-
-namespace {
 
 /// Resolve the backend for this solve's mode. Returns the mode's
 /// SparseSystem when the sparse path is selected (building the pattern on
@@ -70,11 +72,11 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
     s.pattern = linalg::SparsePattern::build(n, s.coords);
     s.pattern_ready = true;
     s.use_sparse = -1;
-    s.a.set_pattern(&s.pattern, 1);
+    s.a.set_pattern(&s.pattern);
     s.num_cached = false;
-  } else if (s.a.pattern() != &s.pattern || s.a.lanes() != 1) {
+  } else if (s.a.pattern() != &s.pattern) {
     // The workspace object moved since the pattern was built; rebind.
-    s.a.set_pattern(&s.pattern, 1);
+    s.a.set_pattern(&s.pattern);
     s.num_cached = false;
   }
   if (s.use_sparse < 0) {
@@ -129,7 +131,7 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
       c_restamps.add();
       sys->coords.insert(sys->coords.end(), st.missed().begin(), st.missed().end());
       sys->pattern = linalg::SparsePattern::build(n, sys->coords);
-      sys->a.set_pattern(&sys->pattern, 1);
+      sys->a.set_pattern(&sys->pattern);
       sys->num_cached = false;
     }
   };

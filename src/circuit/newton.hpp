@@ -1,6 +1,6 @@
-// Internal Newton/MNA solve machinery shared by the scalar engine
-// (engine.cpp) and the lane-batched engine (lane_engine.cpp). Not part of
-// the public surface — include circuit/engine.hpp instead.
+// Internal Newton/MNA solve machinery behind the transient engine
+// (engine.cpp). Not part of the public surface — include
+// circuit/engine.hpp instead.
 #pragma once
 
 #include <vector>
@@ -24,10 +24,6 @@ robust::SolveErrorInfo solve_error_info(robust::FailureKind kind, const char* si
 /// True when no device's stamp depends on the candidate solution, i.e. the
 /// MNA system G x = rhs is solved exactly by a single factorization.
 bool circuit_is_linear(const Circuit& ckt);
-
-/// Structure-discovery pass: stamp every device through a PatternStamper
-/// at `state` and return the recorded positions (0-based, ground dropped).
-std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& state);
 
 /// One damped Newton solve of the (non)linear MNA system at a fixed
 /// (t, dt, dc, src_scale) configuration, through the backend

@@ -4,10 +4,9 @@
 //   bit-identical to the old concrete Stamper).
 // * PatternStamper: value-free discovery pass recording every stamped
 //   (row, col) position; SparsePattern::build() turns the list into CSR.
-// * SparseStamper: assembly into one lane of a SparseMatrix, with the
-//   right-hand side optionally strided for lane-batched systems.
-//   Out-of-pattern stamps are collected instead of applied, so the engine
-//   can grow the pattern and retry the assembly.
+// * SparseStamper: assembly into a SparseMatrix. Out-of-pattern stamps
+//   are collected instead of applied, so the engine can grow the pattern
+//   and retry the assembly.
 #pragma once
 
 #include <span>
@@ -60,27 +59,21 @@ class PatternStamper final : public Stamper {
   std::vector<linalg::SparseCoord> coords_;
 };
 
-/// Sparse assembly into lane `lane` of `a`. The right-hand side is
-/// addressed as rhs[(row-1) * rhs_stride + rhs_offset], so one flat
-/// n x lanes buffer serves every lane of a batched system (scalar use:
-/// stride 1, offset 0). Stamps landing outside the pattern are recorded
-/// in missed() — the caller appends them to its coordinate list, rebuilds
-/// the pattern and re-runs the assembly.
+/// Sparse assembly into `a`. Stamps landing outside the pattern are
+/// recorded in missed() — the caller appends them to its coordinate list,
+/// rebuilds the pattern and re-runs the assembly.
 class SparseStamper final : public Stamper {
  public:
-  SparseStamper(linalg::SparseMatrix& a, std::span<double> rhs, std::size_t lane = 0,
-                std::size_t rhs_stride = 1, std::size_t rhs_offset = 0)
-      : a_(a), rhs_(rhs), lane_(lane), stride_(rhs_stride), offset_(rhs_offset) {}
+  SparseStamper(linalg::SparseMatrix& a, std::span<double> rhs) : a_(a), rhs_(rhs) {}
 
   void g(int row_id, int col_id, double val) override {
     if (row_id == 0 || col_id == 0) return;
-    if (!a_.add(row_id - 1, col_id - 1, val, lane_))
-      missed_.push_back({row_id - 1, col_id - 1});
+    if (!a_.add(row_id - 1, col_id - 1, val)) missed_.push_back({row_id - 1, col_id - 1});
   }
 
   void rhs(int row_id, double val) override {
     if (row_id == 0) return;
-    rhs_[(static_cast<std::size_t>(row_id) - 1) * stride_ + offset_] += val;
+    rhs_[static_cast<std::size_t>(row_id) - 1] += val;
   }
 
   const std::vector<linalg::SparseCoord>& missed() const { return missed_; }
@@ -88,9 +81,6 @@ class SparseStamper final : public Stamper {
  private:
   linalg::SparseMatrix& a_;
   std::span<double> rhs_;
-  std::size_t lane_;
-  std::size_t stride_;
-  std::size_t offset_;
   std::vector<linalg::SparseCoord> missed_;
 };
 

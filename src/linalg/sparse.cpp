@@ -24,8 +24,8 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Numeric-health bounds of the static-pivot refactorization: beyond
-/// these the structure-chosen pivot order is not trustworthy and the lane
-/// is redone densely with partial pivoting.
+/// these the structure-chosen pivot order is not trustworthy and the
+/// factorization is redone densely with partial pivoting.
 constexpr double kMinPivot = 1e-300;
 constexpr double kMaxMultiplier = 1e6;
 
@@ -94,40 +94,33 @@ std::size_t SparsePattern::find(int r, int c) const {
   return static_cast<std::size_t>(it - col_.begin());
 }
 
-void SparseMatrix::set_pattern(const SparsePattern* p, std::size_t lanes) {
+void SparseMatrix::set_pattern(const SparsePattern* p) {
   if (!p) throw std::invalid_argument("SparseMatrix::set_pattern: null pattern");
-  if (lanes == 0) throw std::invalid_argument("SparseMatrix::set_pattern: zero lanes");
   p_ = p;
-  lanes_ = lanes;
-  values_.assign(p->nnz() * lanes, 0.0);
+  values_.assign(p->nnz(), 0.0);
 }
 
 void SparseMatrix::clear_values() { std::fill(values_.begin(), values_.end(), 0.0); }
 
-void SparseMatrix::clear_lane(std::size_t lane) {
-  for (std::size_t s = lane; s < values_.size(); s += lanes_) values_[s] = 0.0;
-}
-
-bool SparseMatrix::add(int r, int c, double v, std::size_t lane) {
+bool SparseMatrix::add(int r, int c, double v) {
   const std::size_t slot = p_->find(r, c);
   if (slot == SparsePattern::npos) return false;
-  values_[slot * lanes_ + lane] += v;
+  values_[slot] += v;
   return true;
 }
 
-void SparseMatrix::add_diag(double v, std::size_t lane) {
-  for (std::size_t i = 0; i < p_->n(); ++i)
-    values_[p_->diag_slot(i) * lanes_ + lane] += v;
+void SparseMatrix::add_diag(double v) {
+  for (std::size_t i = 0; i < p_->n(); ++i) values_[p_->diag_slot(i)] += v;
 }
 
-Matrix SparseMatrix::to_dense(std::size_t lane) const {
+Matrix SparseMatrix::to_dense() const {
   const std::size_t n = this->n();
   Matrix m(n, n);
   const auto rp = p_->row_ptr();
   const auto col = p_->col();
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t s = rp[r]; s < rp[r + 1]; ++s)
-      m(r, static_cast<std::size_t>(col[s])) = values_[s * lanes_ + lane];
+      m(r, static_cast<std::size_t>(col[s])) = values_[s];
   return m;
 }
 
@@ -276,63 +269,39 @@ void SparseLu::factor(const SparseMatrix& a) {
   }
 
   const std::size_t n = n_;
-  const std::size_t L = a.lanes();
-  lanes_ = L;
   valid_ = false;
-  l_val_.assign(l_col_.size() * L, 0.0);
-  u_val_.assign(u_col_.size() * L, 0.0);
-  inv_diag_.assign(n * L, 0.0);
-  w_.assign(n * L, 0.0);
-  lij_.assign(L, 0.0);
-  lane_dense_.assign(L, 0);
-  std::vector<char> healthy(L, 1);
+  dense_active_ = false;
+  l_val_.assign(l_col_.size(), 0.0);
+  u_val_.assign(u_col_.size(), 0.0);
+  inv_diag_.assign(n, 0.0);
+  w_.assign(n, 0.0);
+  bool healthy = true;
 
   const std::span<const double> av = a.values();
   for (std::size_t i = 0; i < n; ++i) {
     // Zero the workspace over this row's fill pattern, scatter A into it.
-    for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls) {
-      double* w = &w_[static_cast<std::size_t>(l_col_[ls]) * L];
-      for (std::size_t t = 0; t < L; ++t) w[t] = 0.0;
-    }
-    for (std::size_t t = 0; t < L; ++t) w_[i * L + t] = 0.0;
-    for (std::size_t us = u_ptr_[i]; us < u_ptr_[i + 1]; ++us) {
-      double* w = &w_[static_cast<std::size_t>(u_col_[us]) * L];
-      for (std::size_t t = 0; t < L; ++t) w[t] = 0.0;
-    }
-    for (std::size_t k = a_ptr_[i]; k < a_ptr_[i + 1]; ++k) {
-      const double* src = &av[a_slot_[k] * L];
-      double* w = &w_[static_cast<std::size_t>(a_pcol_[k]) * L];
-      for (std::size_t t = 0; t < L; ++t) w[t] = src[t];
-    }
+    for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls)
+      w_[static_cast<std::size_t>(l_col_[ls])] = 0.0;
+    w_[i] = 0.0;
+    for (std::size_t us = u_ptr_[i]; us < u_ptr_[i + 1]; ++us)
+      w_[static_cast<std::size_t>(u_col_[us])] = 0.0;
+    for (std::size_t k = a_ptr_[i]; k < a_ptr_[i + 1]; ++k)
+      w_[static_cast<std::size_t>(a_pcol_[k])] = av[a_slot_[k]];
     // Eliminate along the precomputed L pattern (columns ascending).
     for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls) {
       const auto j = static_cast<std::size_t>(l_col_[ls]);
-      const double* wj = &w_[j * L];
-      const double* dj = &inv_diag_[j * L];
-      double* lv = &l_val_[ls * L];
-      for (std::size_t t = 0; t < L; ++t) {
-        const double m = wj[t] * dj[t];
-        lij_[t] = m;
-        lv[t] = m;
-        if (!(std::abs(m) <= kMaxMultiplier)) healthy[t] = 0;
-      }
-      for (std::size_t us = u_ptr_[j]; us < u_ptr_[j + 1]; ++us) {
-        const double* uv = &u_val_[us * L];
-        double* wc = &w_[static_cast<std::size_t>(u_col_[us]) * L];
-        for (std::size_t t = 0; t < L; ++t) wc[t] -= lij_[t] * uv[t];
-      }
+      const double m = w_[j] * inv_diag_[j];
+      l_val_[ls] = m;
+      if (!(std::abs(m) <= kMaxMultiplier)) healthy = false;
+      for (std::size_t us = u_ptr_[j]; us < u_ptr_[j + 1]; ++us)
+        w_[static_cast<std::size_t>(u_col_[us])] -= m * u_val_[us];
     }
     // Pivot + gather the U row.
-    for (std::size_t t = 0; t < L; ++t) {
-      const double d = w_[i * L + t];
-      if (!(std::abs(d) >= kMinPivot)) healthy[t] = 0;
-      inv_diag_[i * L + t] = 1.0 / d;
-    }
-    for (std::size_t us = u_ptr_[i]; us < u_ptr_[i + 1]; ++us) {
-      const double* wc = &w_[static_cast<std::size_t>(u_col_[us]) * L];
-      double* uv = &u_val_[us * L];
-      for (std::size_t t = 0; t < L; ++t) uv[t] = wc[t];
-    }
+    const double d = w_[i];
+    if (!(std::abs(d) >= kMinPivot)) healthy = false;
+    inv_diag_[i] = 1.0 / d;
+    for (std::size_t us = u_ptr_[i]; us < u_ptr_[i + 1]; ++us)
+      u_val_[us] = w_[static_cast<std::size_t>(u_col_[us])];
   }
 
   ++stats_.refactors;
@@ -342,32 +311,23 @@ void SparseLu::factor(const SparseMatrix& a) {
   c_refactors.add();
   c_walk.add(factor_walk_);
 
-  // Lanes whose static pivots went bad are redone densely (partial
-  // pivoting) for this call only; a genuinely singular lane throws, same
-  // as the dense engine path.
-  if (dense_.size() < L) dense_.resize(L);
-  for (std::size_t t = 0; t < L; ++t) {
-    if (healthy[t]) continue;
-    lane_dense_[t] = 1;
-    ++stats_.dense_fallback_lanes;
-    static const obs::Counter c_fallback("linalg.sparselu.dense_fallback_lanes");
+  // Static pivots that went bad are redone densely (partial pivoting) for
+  // this call only; a genuinely singular system throws, same as the dense
+  // engine path.
+  if (!healthy) {
+    ++stats_.dense_fallbacks;
+    static const obs::Counter c_fallback("linalg.sparselu.dense_fallbacks");
     c_fallback.add();
-    dense_[t].factor(a.to_dense(t));
+    dense_.factor(a.to_dense());
+    dense_active_ = true;
   }
   valid_ = true;
 }
 
 void SparseLu::solve_in_place(std::span<double> b) const {
-  if (lanes_ != 1)
-    throw std::invalid_argument("SparseLu::solve_in_place: use solve_lanes_in_place");
-  solve_lanes_in_place(b);
-}
-
-void SparseLu::solve_lanes_in_place(std::span<double> b) const {
   const std::size_t n = n_;
-  const std::size_t L = lanes_;
   if (!valid_) throw std::runtime_error("SparseLu::solve: no valid factorization");
-  if (b.size() != n * L) throw std::invalid_argument("SparseLu::solve: size mismatch");
+  if (b.size() != n) throw std::invalid_argument("SparseLu::solve: size mismatch");
   ++stats_.solves;
   stats_.walk_entries += solve_walk_;
   static const obs::Counter c_solves("linalg.sparselu.solves");
@@ -375,54 +335,24 @@ void SparseLu::solve_lanes_in_place(std::span<double> b) const {
   c_solves.add();
   c_walk.add(solve_walk_);
 
-  // Permute into elimination order first; dense-fallback lanes can then
-  // overwrite b directly while the batched kernel works on the copy.
-  pb_.resize(n * L);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double* src = &b[static_cast<std::size_t>(perm_[k]) * L];
-    double* dst = &pb_[k * L];
-    for (std::size_t t = 0; t < L; ++t) dst[t] = src[t];
+  if (dense_active_) {
+    dense_.solve_in_place(b);
+    return;
   }
-  bool any_sparse = false;
-  for (std::size_t t = 0; t < L; ++t) {
-    if (!lane_dense_[t]) {
-      any_sparse = true;
-      continue;
-    }
-    xb_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) xb_[i] = b[i * L + t];
-    dense_[t].solve_in_place(xb_);
-    for (std::size_t i = 0; i < n; ++i) b[i * L + t] = xb_[i];
-  }
-  if (!any_sparse) return;
 
-  // Forward substitution (unit lower triangle), then backward with the
-  // reciprocal diagonal — the same per-lane operation sequence for any
-  // lane count, which is what keeps lane results bit-identical to scalar.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* bi = &pb_[i * L];
-    for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls) {
-      const double* lv = &l_val_[ls * L];
-      const double* bj = &pb_[static_cast<std::size_t>(l_col_[ls]) * L];
-      for (std::size_t t = 0; t < L; ++t) bi[t] -= lv[t] * bj[t];
-    }
-  }
+  // Permute into elimination order, forward substitution (unit lower
+  // triangle), backward with the reciprocal diagonal, permute back.
+  pb_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) pb_[k] = b[static_cast<std::size_t>(perm_[k])];
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t ls = l_ptr_[i]; ls < l_ptr_[i + 1]; ++ls)
+      pb_[i] -= l_val_[ls] * pb_[static_cast<std::size_t>(l_col_[ls])];
   for (std::size_t ii = n; ii-- > 0;) {
-    double* bi = &pb_[ii * L];
-    for (std::size_t us = u_ptr_[ii]; us < u_ptr_[ii + 1]; ++us) {
-      const double* uv = &u_val_[us * L];
-      const double* bc = &pb_[static_cast<std::size_t>(u_col_[us]) * L];
-      for (std::size_t t = 0; t < L; ++t) bi[t] -= uv[t] * bc[t];
-    }
-    const double* di = &inv_diag_[ii * L];
-    for (std::size_t t = 0; t < L; ++t) bi[t] *= di[t];
+    for (std::size_t us = u_ptr_[ii]; us < u_ptr_[ii + 1]; ++us)
+      pb_[ii] -= u_val_[us] * pb_[static_cast<std::size_t>(u_col_[us])];
+    pb_[ii] *= inv_diag_[ii];
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    const double* src = &pb_[k * L];
-    double* dst = &b[static_cast<std::size_t>(perm_[k]) * L];
-    for (std::size_t t = 0; t < L; ++t)
-      if (!lane_dense_[t]) dst[t] = src[t];
-  }
+  for (std::size_t k = 0; k < n; ++k) b[static_cast<std::size_t>(perm_[k])] = pb_[k];
 }
 
 }  // namespace emc::linalg

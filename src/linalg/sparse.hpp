@@ -1,5 +1,5 @@
 // Sparse MNA substrate: CSR pattern with a coordinate-stamping builder,
-// a lane-batched value container, and a static-pivot sparse LU whose
+// a value container over it, and a static-pivot sparse LU whose
 // symbolic phase (fill-reducing ordering + fill pattern) is computed once
 // and reused across numeric refactorizations — the PR 1 cached-LU trick
 // generalized to nonlinear circuits, where the *values* change every
@@ -9,9 +9,9 @@
 // pattern (structure only, never of the values), so a factorization's
 // rounding is identical no matter which corner previously used a reused
 // workspace. Numeric robustness is recovered by a health check at
-// refactor time (pivot magnitude / multiplier growth); lanes that fail it
-// fall back to dense partial-pivoting LU for that factor call only —
-// a pure function of the lane's own values, so purity is preserved.
+// refactor time (pivot magnitude / multiplier growth); a factorization
+// that fails it falls back to dense partial-pivoting LU for that factor
+// call only — a pure function of the values, so purity is preserved.
 #pragma once
 
 #include <cstddef>
@@ -77,57 +77,46 @@ class SparsePattern {
   std::uint64_t hash_ = 0;
 };
 
-/// Values over a SparsePattern, batched over `lanes` independent systems
-/// sharing the structure. Storage is slot-major (values[slot * lanes +
-/// lane]) so a factorization walking the pattern once can process all
-/// lanes with a unit-stride inner loop. The pattern is referenced, not
-/// owned: it must outlive the matrix (both live side by side in
-/// NewtonWorkspace / LaneWorkspace).
+/// Values over a SparsePattern, one per pattern slot. The pattern is
+/// referenced, not owned: it must outlive the matrix (both live side by
+/// side in NewtonWorkspace).
 class SparseMatrix {
  public:
   SparseMatrix() = default;
 
-  /// Bind to `p` with `lanes` value lanes; values are zeroed.
-  void set_pattern(const SparsePattern* p, std::size_t lanes = 1);
+  /// Bind to `p`; values are zeroed.
+  void set_pattern(const SparsePattern* p);
 
   const SparsePattern* pattern() const { return p_; }
-  std::size_t lanes() const { return lanes_; }
   std::size_t n() const { return p_ ? p_->n() : 0; }
 
-  void clear_values();                  ///< zero every lane
-  void clear_lane(std::size_t lane);    ///< zero one lane
+  void clear_values();
 
-  /// values(r, c, lane) += v; returns false (and does nothing) when the
-  /// position is outside the pattern — callers collect misses and rebuild.
-  bool add(int r, int c, double v, std::size_t lane = 0);
+  /// value(r, c) += v; returns false (and does nothing) when the position
+  /// is outside the pattern — callers collect misses and rebuild.
+  bool add(int r, int c, double v);
 
-  /// Add `v` to every diagonal entry of `lane` (the gmin augmentation).
-  void add_diag(double v, std::size_t lane = 0);
+  /// Add `v` to every diagonal entry (the gmin augmentation).
+  void add_diag(double v);
 
-  double value(std::size_t slot, std::size_t lane = 0) const {
-    return values_[slot * lanes_ + lane];
-  }
   std::span<const double> values() const { return values_; }
 
-  /// Materialize one lane as a dense matrix (dense-fallback path, tests).
-  Matrix to_dense(std::size_t lane = 0) const;
+  /// Materialize as a dense matrix (dense-fallback path, tests).
+  Matrix to_dense() const;
 
  private:
   const SparsePattern* p_ = nullptr;
-  std::size_t lanes_ = 1;
-  std::vector<double> values_;  ///< nnz * lanes, slot-major
+  std::vector<double> values_;  ///< nnz, slot order
 };
 
 /// Counters of what a SparseLu actually did — how often the symbolic
 /// analysis was reused, how often the numeric health check bailed to
-/// dense, and how many pattern entries the factor/solve kernels walked
-/// (walk_entries counts pattern traversals once per call, *not* per lane:
-/// it is the metric that shows lane batching amortizing structure walks).
+/// dense, and how many pattern entries the factor/solve kernels walked.
 struct SparseLuStats {
   long analyses = 0;         ///< symbolic phases computed
   long symbolic_reuses = 0;  ///< numeric refactors that reused the symbolic
   long refactors = 0;        ///< numeric factorizations performed
-  long dense_fallback_lanes = 0;  ///< lanes that failed health and went dense
+  long dense_fallbacks = 0;  ///< factorizations that failed health and went dense
   long solves = 0;           ///< triangular-solve calls
   unsigned long long walk_entries = 0;
 };
@@ -142,47 +131,32 @@ struct SparseLuStats {
 /// refactorization: scatter, eliminate along the precomputed pattern,
 /// gather — no searching, no allocation.
 ///
-/// All lanes of `a` are factored in one pattern walk. A lane whose numeric
-/// health fails (pivot < 1e-300 or multiplier > 1e6 in magnitude) is
-/// re-factored densely with partial pivoting for this call; the other
-/// lanes are unaffected, so each lane's solution remains a pure function
-/// of its own values.
+/// A factorization whose numeric health fails (pivot < 1e-300 or
+/// multiplier > 1e6 in magnitude) is redone densely with partial pivoting
+/// for this call, so the solution remains a pure function of the values.
 class SparseLu {
  public:
   SparseLu() = default;
 
-  /// (Re)factorize; throws std::runtime_error when a system is singular
+  /// (Re)factorize; throws std::runtime_error when the system is singular
   /// beyond even the dense fallback.
   void factor(const SparseMatrix& a);
 
   bool valid() const { return valid_; }
   std::size_t size() const { return n_; }
-  std::size_t lanes() const { return lanes_; }
 
-  /// Solve A x = b in place for a single-lane factorization.
+  /// Solve A x = b in place.
   void solve_in_place(std::span<double> b) const;
-
-  /// Solve all lanes in place; b is n * lanes, lane-fastest (b[i * lanes +
-  /// lane]). Per-lane arithmetic is the identical operation sequence the
-  /// single-lane solve performs, so lane results are bit-identical to
-  /// scalar solves of the same values.
-  void solve_lanes_in_place(std::span<double> b) const;
 
   /// Drop numeric *and* symbolic state (topology changed for good).
   void invalidate();
 
   const SparseLuStats& stats() const { return stats_; }
 
-  /// Pattern entries walked by one factor / one solve call (valid after
-  /// the first factor): the work-reduction currency of lane batching.
-  unsigned long long factor_walk() const { return factor_walk_; }
-  unsigned long long solve_walk() const { return solve_walk_; }
-
  private:
   void analyze(const SparsePattern& p);
 
   std::size_t n_ = 0;
-  std::size_t lanes_ = 1;
   bool analyzed_ = false;
   bool valid_ = false;
   std::uint64_t hash_ = 0;
@@ -200,21 +174,19 @@ class SparseLu {
   std::vector<std::size_t> a_ptr_;
   std::vector<std::size_t> a_slot_;
   std::vector<int> a_pcol_;
-  unsigned long long factor_walk_ = 0;
-  unsigned long long solve_walk_ = 0;
+  unsigned long long factor_walk_ = 0;  ///< pattern entries one factor walks
+  unsigned long long solve_walk_ = 0;   ///< pattern entries one solve walks
 
-  // Numeric (lane-batched, slot-major like SparseMatrix).
+  // Numeric factorization over the fill pattern.
   std::vector<double> l_val_;
   std::vector<double> u_val_;
   std::vector<double> inv_diag_;
-  std::vector<double> w_;    ///< scatter workspace, n * lanes
-  std::vector<double> lij_;  ///< per-lane multiplier scratch
+  std::vector<double> w_;  ///< scatter workspace, n
 
-  // Per-lane dense fallback of the current factorization.
-  std::vector<char> lane_dense_;
-  std::vector<LuFactor> dense_;
+  // Dense fallback of the current factorization (used when dense_active_).
+  bool dense_active_ = false;
+  LuFactor dense_;
   mutable std::vector<double> pb_;  ///< permuted rhs scratch for solves
-  mutable std::vector<double> xb_;  ///< per-lane gather scratch (dense lanes)
 
   mutable SparseLuStats stats_;
 };

@@ -47,7 +47,7 @@ struct SolveErrorInfo {
   /// |dx|_inf per Newton iteration of the failing solve, most recent
   /// last (bounded; see NewtonWorkspace::kResidualHistoryCap).
   std::vector<double> residual_history;
-  std::string detail;  ///< site-specific free text (schedules, lane ids…)
+  std::string detail;  ///< site-specific free text (schedules…)
 };
 
 /// Derives from std::runtime_error so every pre-existing catch keeps

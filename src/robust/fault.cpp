@@ -11,7 +11,6 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kDcSolve: return "dc_solve";
     case FaultSite::kFactor: return "factor";
     case FaultSite::kTransientStep: return "transient_step";
-    case FaultSite::kLaneStep: return "lane_step";
     case FaultSite::kSinkWrite: return "sink_write";
     case FaultSite::kDeadline: return "deadline";
   }

@@ -31,8 +31,7 @@ namespace emc::robust {
 enum class FaultSite {
   kDcSolve,        ///< dc_operating_point entry -> injected DC divergence
   kFactor,         ///< Newton factorization -> singular pivot
-  kTransientStep,  ///< scalar engine, after a step's solve -> NaN poisoning
-  kLaneStep,       ///< lane engine, per-lane after a step -> NaN poisoning
+  kTransientStep,  ///< transient engine, after a step's solve -> NaN poisoning
   kSinkWrite,      ///< chunk delivery -> sink write failure
   kDeadline,       ///< per-step deadline check -> forced overrun
 };
@@ -46,7 +45,7 @@ inline constexpr int kSolverDenseAsInt = 1;
 /// What the probing engine knows about the current attempt; spare
 /// thresholds are evaluated against these fields.
 struct FaultCtx {
-  std::string_view key;  ///< TransientOptions::context (or per-lane key)
+  std::string_view key;  ///< TransientOptions::context
   int solver = -1;       ///< ckt::SolverKind of the attempt, as int
   double dt = 0.0;
   double gmin = 0.0;

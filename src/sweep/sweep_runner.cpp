@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "circuit/devices_linear.hpp"
-#include "circuit/lane_engine.hpp"
 #include "circuit/netlist.hpp"
 #include "core/driver_device.hpp"
 #include "obs/metrics.hpp"
@@ -22,27 +21,14 @@ namespace emc::sweep {
 
 namespace {
 
-/// One corner's transient setup — circuit, probe, step geometry — shared
-/// verbatim between the scalar corner function and the lane-batched sweep
-/// so both simulate the identical system (device order included: the
-/// stamp order decides the sparse pattern's coordinate stream).
-struct CornerTransient {
-  ckt::Circuit c;
-  int b1 = 0;                   ///< measured far-end land (the only probe)
-  std::size_t per_period = 0;   ///< frames per stimulus pattern period
-  std::size_t chunk_frames = 0;
-  ckt::TransientOptions opt;
-};
-
 std::string emission_memo_key(const Scenario& sc) {
   char key[96];
   std::snprintf(key, sizeof key, "|%.17g|%.17g", sc.line_length, sc.load_c);
   return sc.bits + key;
 }
 
-/// Base transient options of a corner — what build_emission_transient
-/// would set — without building the circuit. The retry ladder escalates
-/// from these; opt.context carries the corner's transient identity into
+/// Base transient options of a corner. The retry ladder escalates from
+/// these; opt.context carries the corner's transient identity into
 /// failure reports and the fault harness.
 ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
                                             const Scenario& sc) {
@@ -50,7 +36,6 @@ ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
   ckt::TransientOptions opt;
   opt.dt = cfg.dt;
   opt.t_stop = period * static_cast<double>(cfg.periods);
-  opt.solver = cfg.solver;
   opt.context = emission_memo_key(sc);
   return opt;
 }
@@ -65,19 +50,20 @@ robust::RetryPolicy emission_retry_policy(const EmissionSweepConfig& cfg) {
   return p;
 }
 
-std::unique_ptr<CornerTransient> build_emission_transient(const EmissionSweepConfig& cfg,
-                                                          const Scenario& sc) {
-  auto out = std::make_unique<CornerTransient>();
-  ckt::Circuit& c = out->c;
+/// The corner circuit: two drivers from the shared macromodel on the
+/// lossy coupled line, both far ends loaded. Returns the measured far-end
+/// land (the only probe).
+int build_emission_circuit(const EmissionSweepConfig& cfg, const Scenario& sc,
+                           ckt::Circuit& c) {
   const int a1 = c.node();
   const int a2 = c.node();
-  out->b1 = c.node();
+  const int b1 = c.node();
   const int b2 = c.node();
 
   ckt::CoupledLineParams line = cfg.line;
   line.length = sc.line_length;
-  add_coupled_lossy_line(c, {a1, a2}, {out->b1, b2}, line, cfg.dt, cfg.sections);
-  c.add<ckt::Capacitor>(out->b1, c.ground(), sc.load_c);
+  add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, cfg.dt, cfg.sections);
+  c.add<ckt::Capacitor>(b1, c.ground(), sc.load_c);
   c.add<ckt::Capacitor>(b2, c.ground(), sc.load_c);
 
   std::string active_bits;
@@ -85,13 +71,7 @@ std::unique_ptr<CornerTransient> build_emission_transient(const EmissionSweepCon
   const std::string quiet_bits(active_bits.size(), '0');
   c.add<core::DriverDevice>(a1, *cfg.model, active_bits, cfg.bit_time);
   c.add<core::DriverDevice>(a2, *cfg.model, quiet_bits, cfg.bit_time);
-
-  const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
-  out->opt = emission_base_options(cfg, sc);
-  out->per_period = static_cast<std::size_t>(std::lround(period / cfg.dt));
-  out->chunk_frames =
-      std::clamp<std::size_t>(cfg.stream_budget_bytes / sizeof(double), 64, 65536);
-  return out;
+  return b1;
 }
 
 spec::TraceSel detector_trace(Detector d) {
@@ -258,7 +238,6 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
                               const RunOptions& opt) {
   static const obs::Counter c_sweeps("sweep.runs");
   static const obs::Counter c_corners("sweep.corners");
-  static const obs::Counter c_isolated("sweep.corners_isolated");
   static const obs::Counter c_resumed("sweep.corners_resumed");
   obs::Span span("sweep");
   c_sweeps.add();
@@ -294,26 +273,47 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
                                opt.journal_path);
   }
 
+  std::vector<std::size_t> todo;
+  todo.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (!restored[i]) todo.push_back(shard.begin + i);
+  // Restored corners are finished before the pool starts: report them first.
+  std::size_t done = n - todo.size();
+  if (opt.progress)
+    for (std::size_t k = 1; k <= done; ++k) opt.progress(k, n);
+
+  done = evaluate(grid, todo, shard.begin, out.results, fn, opt, journal.get(), done, n);
+  if (done < n)
+    throw SweepAborted("sweep aborted: " + std::to_string(done) + " of " +
+                       std::to_string(n) + " corners finished" +
+                       (journal ? " (journaled for resume)" : ""));
+
+  c_corners.add(n);
+  out.workers = pool_.worker_stats();
+  out.summary = shard.whole_grid(grid.size())
+                    ? summarize(grid, out.results, opt.histogram)
+                    : summarize_shard(grid, out.results, opt.histogram);
+  return out;
+}
+
+std::size_t SweepRunner::evaluate(const CornerGrid& grid, std::span<const std::size_t> todo,
+                                  std::size_t base, std::span<CornerResult> results,
+                                  const CornerFn& fn, const RunOptions& opt,
+                                  robust::JournalWriter* journal, std::size_t done,
+                                  std::size_t total) {
+  static const obs::Counter c_isolated("sweep.corners_isolated");
   pool_.reset_worker_stats();
-  std::atomic<std::size_t> done{0};
-  std::atomic<bool> aborted{false};
+  std::atomic<std::size_t> finished{done};
 
   pool_.parallel_for(
-      n,
-      [&](std::size_t index, std::size_t worker) {
-        if (restored[index]) {
-          const std::size_t k = done.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (opt.progress) opt.progress(k, n);
-          return;
-        }
-        if (opt.stop && opt.stop->load(std::memory_order_acquire)) {
-          aborted.store(true, std::memory_order_relaxed);
-          return;
-        }
+      todo.size(),
+      [&](std::size_t k, std::size_t worker) {
+        if (opt.stop && opt.stop->load(std::memory_order_acquire)) return;
         obs::Span corner_span("corner");
         const auto t0 = std::chrono::steady_clock::now();
-        CornerResult& slot = out.results[index];
-        slot.scenario = grid.at(shard.begin + index);
+        const std::size_t index = todo[k];
+        CornerResult& slot = results[index - base];
+        slot.scenario = grid.at(index);
         // memo_attempts/memo_recovered are NOT reset per corner: like the
         // rest of the memo they describe the transient behind memo_record,
         // so a memo hit must inherit the producing attempt's ladder
@@ -330,8 +330,8 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
             // describes the last corner that SUCCEEDED, so none of the
             // memo-derived accounting below may be copied.
             corner_ok = false;
-            const robust::SolveError wrapped = robust::with_corner(
-                e, slot.scenario.label(), shard.begin + index);
+            const robust::SolveError wrapped =
+                robust::with_corner(e, slot.scenario.label(), index);
             slot.solver_failed = true;
             slot.failure = wrapped.what();
             slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
@@ -360,24 +360,12 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
         slot.worker = worker;
         slot.wall_s =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        if (journal) journal->append(corner_journal_json(shard.begin + index, slot));
-        const std::size_t k = done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (opt.progress) opt.progress(k, n);
+        if (journal) journal->append(corner_journal_json(index, slot));
+        const std::size_t d = finished.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (opt.progress) opt.progress(d, total);
       },
       opt.chunk);
-
-  if (aborted.load(std::memory_order_relaxed))
-    throw SweepAborted("sweep aborted: " +
-                       std::to_string(done.load(std::memory_order_relaxed)) + " of " +
-                       std::to_string(n) + " corners finished" +
-                       (journal ? " (journaled for resume)" : ""));
-
-  c_corners.add(n);
-  out.workers = pool_.worker_stats();
-  out.summary = shard.whole_grid(grid.size())
-                    ? summarize(grid, out.results, opt.histogram)
-                    : summarize_shard(grid, out.results, opt.histogram);
-  return out;
+  return finished.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -393,6 +381,15 @@ obs::Json solve_stats_exact_json(const ckt::SolveStats& st) {
   o.set("dc_source", obs::Json::integer(st.dc_source_steps));
   o.set("used_sparse", obs::Json::integer(st.used_sparse));
   return o;
+}
+
+/// A journaled count or index: a non-negative integer. A negative one
+/// would wrap to a huge size_t, so it is rejected as malformed.
+std::size_t journal_count(const obs::Json& v, const char* field) {
+  const long x = v.as_integer();
+  if (x < 0)
+    throw std::invalid_argument(std::string("corner_from_journal: negative ") + field);
+  return static_cast<std::size_t>(x);
 }
 
 ckt::SolveStats solve_stats_from_json(const obs::Json& o) {
@@ -455,9 +452,7 @@ obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r) {
 }
 
 CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index) {
-  const long idx = entry.at("index").as_integer();
-  if (idx < 0) throw std::invalid_argument("corner_from_journal: negative index");
-  grid_index = static_cast<std::size_t>(idx);
+  grid_index = journal_count(entry.at("index"), "index");
 
   CornerResult r;
   r.solver_failed = entry.at("solver_failed").as_bool();
@@ -469,15 +464,14 @@ CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index
   // Scan accounting entered the journal after the first release of the
   // format; entries without the keys (older journals) restore as zero.
   if (const obs::Json* v = entry.find("scan_passes"))
-    r.scan.detector_passes = static_cast<std::size_t>(v->as_integer());
+    r.scan.detector_passes = journal_count(*v, "scan_passes");
   if (const obs::Json* v = entry.find("scan_refined"))
-    r.scan.refined_points = static_cast<std::size_t>(v->as_integer());
+    r.scan.refined_points = journal_count(*v, "scan_refined");
   if (const obs::Json* v = entry.find("scan_crossings"))
-    r.scan.crossings = static_cast<std::size_t>(v->as_integer());
-  r.streamed_record_bytes =
-      static_cast<std::size_t>(entry.at("streamed_bytes").as_integer());
+    r.scan.crossings = journal_count(*v, "scan_crossings");
+  r.streamed_record_bytes = journal_count(entry.at("streamed_bytes"), "streamed_bytes");
   r.monolithic_record_bytes =
-      static_cast<std::size_t>(entry.at("monolithic_bytes").as_integer());
+      journal_count(entry.at("monolithic_bytes"), "monolithic_bytes");
   r.solve = solve_stats_from_json(entry.at("solve"));
 
   const obs::Json& rep = entry.at("report");
@@ -485,9 +479,8 @@ CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index
   r.report.what = rep.at("what").as_string();
   r.report.pass = rep.at("pass").as_bool();
   r.report.worst_margin_db = robust::parse_exact(rep.at("worst_margin_db"));
-  r.report.worst_index = static_cast<std::size_t>(rep.at("worst_index").as_integer());
-  r.report.skipped_scan_points =
-      static_cast<std::size_t>(rep.at("skipped").as_integer());
+  r.report.worst_index = journal_count(rep.at("worst_index"), "worst_index");
+  r.report.skipped_scan_points = journal_count(rep.at("skipped"), "skipped");
   const obs::Json& pts = rep.at("points");
   r.report.points.reserve(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -501,6 +494,9 @@ CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index
     p.margin_db = robust::parse_exact(row[3]);
     r.report.points.push_back(p);
   }
+  // summary() and worst_point() index points[worst_index] unguarded.
+  if (!r.report.points.empty() && r.report.worst_index >= r.report.points.size())
+    throw std::invalid_argument("corner_from_journal: worst_index outside points");
   return r;
 }
 
@@ -555,11 +551,13 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
           [&](const ckt::TransientOptions& opt) {
             // Per-corner circuit: everything mutable lives here; the
             // macromodel is shared const across workers.
-            auto tr = build_emission_transient(cfg, sc);
-            tr->opt = opt;
+            ckt::Circuit c;
+            const int probes[] = {build_emission_circuit(cfg, sc, c)};
             // The ladder may have halved dt; the steady-state window is a
-            // frame count, so recompute it against the attempt's step.
-            tr->per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
+            // frame count, so compute it against the attempt's step.
+            const auto per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
+            const std::size_t chunk_frames =
+                std::clamp<std::size_t>(cfg.stream_budget_bytes / sizeof(double), 64, 65536);
 
             // Streamed transient: probe only the measured land and record
             // only the steady-state window (drop the first pattern period
@@ -567,23 +565,20 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
             // coherently sampled). The engine never materializes the full
             // all-unknowns record; the chunk staging buffer lives in
             // ws.newton and is reused across every corner this worker runs.
-            const int probes[] = {tr->b1};
-            sig::RecordingSink rec(
-                tr->per_period,
-                tr->per_period * static_cast<std::size_t>(cfg.periods - 1));
-            ws.memo_solve = ckt::run_transient_streamed(tr->c, tr->opt, ws.newton,
-                                                        probes, rec, tr->chunk_frames);
+            sig::RecordingSink rec(per_period,
+                                   per_period * static_cast<std::size_t>(cfg.periods - 1));
+            ws.memo_solve =
+                ckt::run_transient_streamed(c, opt, ws.newton, probes, rec, chunk_frames);
             // Single-channel recording: the flat buffer IS the steady
             // record — move it out instead of copying through waveform().
-            ws.memo_record = sig::Waveform(
-                tr->opt.t_start + tr->opt.dt * static_cast<double>(tr->per_period),
-                tr->opt.dt, std::move(rec).take_data());
+            ws.memo_record =
+                sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period), opt.dt,
+                              std::move(rec).take_data());
 
-            const auto n_unknowns = static_cast<std::size_t>(tr->c.finalize());
+            const auto n_unknowns = static_cast<std::size_t>(c.finalize());
             const auto n_frames =
-                static_cast<std::size_t>(std::llround(tr->opt.t_stop / tr->opt.dt)) + 1;
-            ws.memo_streamed_bytes =
-                (tr->chunk_frames + ws.memo_record.size()) * sizeof(double);
+                static_cast<std::size_t>(std::llround(opt.t_stop / opt.dt)) + 1;
+            ws.memo_streamed_bytes = (chunk_frames + ws.memo_record.size()) * sizeof(double);
             ws.memo_monolithic_bytes = n_frames * n_unknowns * sizeof(double);
           });
       ws.memo_attempts = ro.attempts;
@@ -593,213 +588,6 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
 
     return post_process_corner(cfg, sc, ws.memo_record, ws.scanner, ws.scan);
   };
-}
-
-namespace {
-
-/// Lane-batched evaluation of `corner_list` (grid indices, ascending):
-/// the grouping / lockstep-batching / demotion engine shared by
-/// run_emission_sweep_lanes (whole grid) and refine_emission_sweep_lanes
-/// (only the corners an axis subdivision added). Results land in the
-/// matching results[index] slots; other slots are untouched.
-void run_lanes_over(const EmissionSweepConfig& cfg, const CornerGrid& grid,
-                    std::span<const std::size_t> corner_list, std::size_t max_lanes,
-                    std::vector<CornerResult>& results, LaneSweepInfo& acc) {
-  // One transient group per distinct memo key: the same unit of work the
-  // scalar runner's record memo deduplicates. Keys repeat only in
-  // contiguous runs (post-processing axes vary fastest in grid order).
-  struct Group {
-    std::string key;
-    std::size_t first = 0;               ///< grid index defining the transient
-    std::vector<std::size_t> corners;    ///< grid indices sharing the record
-  };
-  std::vector<Group> groups;
-  for (const std::size_t i : corner_list) {
-    std::string key = emission_memo_key(grid.at(i));
-    if (groups.empty() || groups.back().key != key)
-      groups.push_back(Group{std::move(key), i, {}});
-    groups.back().corners.push_back(i);
-  }
-
-  spec::EmiScanner scanner;
-  ckt::LaneWorkspace lw;
-
-  std::size_t g0 = 0;
-  while (g0 < groups.size()) {
-    // Batch consecutive groups advancing the same topology through the
-    // same step count: equal line length (fixes the section count and the
-    // unknown count) and equal pattern length (fixes t_stop).
-    const Scenario sc0 = grid.at(groups[g0].first);
-    std::size_t g1 = g0 + 1;
-    while (g1 < groups.size() && g1 - g0 < max_lanes) {
-      const Scenario sc = grid.at(groups[g1].first);
-      if (sc.line_length != sc0.line_length || sc.bits.size() != sc0.bits.size()) break;
-      ++g1;
-    }
-    const std::size_t L = g1 - g0;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::unique_ptr<CornerTransient>> built;
-    std::vector<ckt::Circuit*> lanes;
-    std::vector<sig::RecordingSink> recs;
-    std::vector<sig::SampleSink*> sinks;
-    built.reserve(L);
-    recs.reserve(L);
-    for (std::size_t l = 0; l < L; ++l) {
-      built.push_back(build_emission_transient(cfg, grid.at(groups[g0 + l].first)));
-      recs.emplace_back(built[l]->per_period,
-                        built[l]->per_period * static_cast<std::size_t>(cfg.periods - 1));
-    }
-    for (std::size_t l = 0; l < L; ++l) {
-      lanes.push_back(&built[l]->c);
-      sinks.push_back(&recs[l]);
-    }
-
-    std::vector<std::string> keys(L);
-    for (std::size_t l = 0; l < L; ++l) keys[l] = groups[g0 + l].key;
-
-    const int probes[] = {built[0]->b1};
-    const auto stats = ckt::run_transient_lanes(lanes, built[0]->opt, lw, probes, sinks,
-                                                built[0]->chunk_frames, keys);
-    acc.batches += 1;
-    acc.transients += L;
-    acc.batched_walk_entries += stats.batched_walk_entries;
-    acc.scalar_walk_entries += stats.scalar_walk_entries;
-
-    std::size_t batch_corners = 0;
-    for (std::size_t l = 0; l < L; ++l) batch_corners += groups[g0 + l].corners.size();
-
-    for (std::size_t l = 0; l < L; ++l) {
-      const CornerTransient& tr = *built[l];
-      const Scenario lane_sc = grid.at(groups[g0 + l].first);
-      const auto n_unknowns = static_cast<std::size_t>(built[l]->c.finalize());
-
-      sig::Waveform steady;
-      ckt::SolveStats lane_solve = stats.lanes[l];
-      std::size_t streamed_bytes = 0;
-      std::size_t monolithic_bytes = 0;
-      int lane_attempts = 1;
-      bool lane_recovered = false;
-      std::unique_ptr<robust::SolveError> lane_error;
-
-      if (!stats.failures[l].failed) {
-        steady = sig::Waveform(
-            tr.opt.t_start + tr.opt.dt * static_cast<double>(tr.per_period), tr.opt.dt,
-            std::move(recs[l]).take_data());
-        const auto n_frames =
-            static_cast<std::size_t>(std::llround(tr.opt.t_stop / tr.opt.dt)) + 1;
-        streamed_bytes = (tr.chunk_frames + steady.size()) * sizeof(double);
-        monolithic_bytes = n_frames * n_unknowns * sizeof(double);
-      } else {
-        // Lane demotion: the batched transient isolated this lane (its
-        // frozen record is unusable) while the survivors continued. Evict
-        // it to a scalar retry under the escalation ladder — the scalar
-        // base attempt reruns the identical arithmetic, so a lane that
-        // would also fail scalar walks the same ladder the scalar runner
-        // would have walked.
-        ++acc.demoted;
-        const double period = cfg.bit_time * static_cast<double>(lane_sc.bits.size());
-        try {
-          const robust::RetryOutcome ro = robust::run_with_escalation(
-              emission_retry_policy(cfg), emission_base_options(cfg, lane_sc),
-              [&](const ckt::TransientOptions& opt) {
-                auto rtr = build_emission_transient(cfg, lane_sc);
-                rtr->opt = opt;
-                rtr->per_period =
-                    static_cast<std::size_t>(std::lround(period / opt.dt));
-                const int rprobes[] = {rtr->b1};
-                sig::RecordingSink rec(
-                    rtr->per_period,
-                    rtr->per_period * static_cast<std::size_t>(cfg.periods - 1));
-                lane_solve = ckt::run_transient_streamed(rtr->c, rtr->opt, lw.scalar,
-                                                         rprobes, rec, rtr->chunk_frames);
-                steady = sig::Waveform(
-                    rtr->opt.t_start +
-                        rtr->opt.dt * static_cast<double>(rtr->per_period),
-                    rtr->opt.dt, std::move(rec).take_data());
-                const auto n_frames = static_cast<std::size_t>(
-                                          std::llround(rtr->opt.t_stop / rtr->opt.dt)) +
-                                      1;
-                streamed_bytes = (rtr->chunk_frames + steady.size()) * sizeof(double);
-                monolithic_bytes = n_frames * n_unknowns * sizeof(double);
-              });
-          lane_attempts = ro.attempts;
-          lane_recovered = ro.recovered;
-        } catch (const robust::SolveError& e) {
-          lane_error = std::make_unique<robust::SolveError>(e);
-        }
-      }
-
-      for (std::size_t idx : groups[g0 + l].corners) {
-        obs::Span corner_span("corner");
-        CornerResult& slot = results[idx];
-        slot.scenario = grid.at(idx);
-        if (lane_error) {
-          const robust::SolveError wrapped =
-              robust::with_corner(*lane_error, slot.scenario.label(), idx);
-          slot.solver_failed = true;
-          slot.failure = wrapped.what();
-          slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-          slot.solve_attempts = std::max(1, wrapped.info().attempts);
-          slot.transient_reused = idx != groups[g0 + l].first;
-          continue;
-        }
-        slot.report = post_process_corner(cfg, slot.scenario, steady, scanner, slot.scan);
-        slot.streamed_record_bytes = streamed_bytes;
-        slot.monolithic_record_bytes = monolithic_bytes;
-        // Lane semantics match the scalar runner: every corner of a group
-        // carries the producing lane's solver stats, and only the group's
-        // defining corner "ran" its transient.
-        slot.solve = lane_solve;
-        slot.solve_attempts = lane_attempts;
-        slot.recovered = lane_recovered;
-        slot.transient_reused = idx != groups[g0 + l].first;
-      }
-    }
-    const double batch_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    for (std::size_t l = 0; l < L; ++l)
-      for (std::size_t idx : groups[g0 + l].corners)
-        results[idx].wall_s = batch_wall / static_cast<double>(batch_corners);
-
-    g0 = g1;
-  }
-}
-
-void validate_lane_config(const EmissionSweepConfig& cfg, std::size_t max_lanes,
-                          const char* who) {
-  validate_emission_config(cfg, who);
-  if (cfg.solver == ckt::SolverKind::kDense)
-    throw std::invalid_argument(std::string(who) + ": lane batching is sparse-only");
-  if (max_lanes == 0)
-    throw std::invalid_argument(std::string(who) + ": max_lanes must be >= 1");
-}
-
-}  // namespace
-
-SweepOutcome run_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                      const CornerGrid& grid, std::size_t max_lanes,
-                                      const MarginHistogram& histogram_spec,
-                                      LaneSweepInfo* info) {
-  validate_lane_config(cfg, max_lanes, "run_emission_sweep_lanes");
-
-  static const obs::Counter c_sweeps("sweep.runs");
-  static const obs::Counter c_corners("sweep.corners");
-  obs::Span span("sweep");
-  c_sweeps.add();
-  c_corners.add(grid.size());
-
-  SweepOutcome out;
-  out.results.resize(grid.size());
-  std::vector<std::size_t> all(grid.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-
-  LaneSweepInfo acc;
-  run_lanes_over(cfg, grid, all, max_lanes, out.results, acc);
-
-  out.summary = summarize(grid, out.results, histogram_spec);
-  if (info) *info = acc;
-  return out;
 }
 
 namespace {
@@ -848,8 +636,7 @@ std::size_t encode_index(const CornerGrid& grid, const std::size_t coord[kNumAxe
   return idx;
 }
 
-/// Shared carry-over stage of the two refinement drivers: compute the
-/// plan, build the refined grid, copy every prior corner's result into
+/// Carry-over stage of refinement: compute the plan, build the refined grid, copy every prior corner's result into
 /// its slot on the refined grid (result bits untouched; only the decoded
 /// Scenario is re-derived) and return the indices still needing
 /// evaluation, ascending.
@@ -971,73 +758,14 @@ RefineOutcome SweepRunner::refine(const CornerGrid& grid, const SweepOutcome& pr
   c_reused.add(out.reused);
   c_evaluated.add(out.evaluated);
 
-  pool_.reset_worker_stats();
-  pool_.parallel_for(
-      fresh.size(),
-      [&](std::size_t fi, std::size_t worker) {
-        // Same evaluation core as run(), minus journaling/abort: fresh
-        // corners are claimed in grid order, so chunks of them sharing a
-        // transient still hit the worker memo.
-        obs::Span corner_span("corner");
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t index = fresh[fi];
-        CornerResult& slot = out.outcome.results[index];
-        slot.scenario = out.grid.at(index);
-        Workspace& ws = workspaces_[worker];
-        bool corner_ok = true;
-        if (opt.isolate_failures) {
-          try {
-            slot.report = fn(slot.scenario, ws);
-          } catch (const robust::SolveError& e) {
-            corner_ok = false;
-            const robust::SolveError wrapped =
-                robust::with_corner(e, slot.scenario.label(), index);
-            slot.solver_failed = true;
-            slot.failure = wrapped.what();
-            slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-            slot.solve_attempts = std::max(1, wrapped.info().attempts);
-          }
-        } else {
-          slot.report = fn(slot.scenario, ws);
-        }
-        if (corner_ok) {
-          slot.streamed_record_bytes = ws.memo_streamed_bytes;
-          slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
-          slot.solve = ws.memo_solve;
-          slot.transient_reused = ws.memo_hit;
-          slot.solve_attempts = std::max(1, ws.memo_attempts);
-          slot.recovered = ws.memo_recovered;
-          slot.scan = ws.scan;
-        }
-        slot.worker = worker;
-        slot.wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-      },
-      opt.chunk);
+  // Journaling and abort stay run()-only: a refinement stage is cheap to
+  // redo from its prior outcome.
+  RunOptions eval_opt = opt;
+  eval_opt.stop = nullptr;
+  evaluate(out.grid, fresh, 0, out.outcome.results, fn, eval_opt, nullptr, 0, fresh.size());
 
   out.outcome.workers = pool_.worker_stats();
   out.outcome.summary = summarize(out.grid, out.outcome.results, opt.histogram);
-  return out;
-}
-
-RefineOutcome refine_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                          const CornerGrid& grid,
-                                          const SweepOutcome& prior,
-                                          std::size_t max_lanes,
-                                          const MarginHistogram& histogram_spec,
-                                          LaneSweepInfo* info) {
-  validate_lane_config(cfg, max_lanes, "refine_emission_sweep_lanes");
-  obs::Span span("sweep_refine");
-
-  RefineOutcome out;
-  const std::vector<std::size_t> fresh = carry_over_refinement(grid, prior, out);
-
-  LaneSweepInfo acc;
-  run_lanes_over(cfg, out.grid, fresh, max_lanes, out.outcome.results, acc);
-
-  out.outcome.summary = summarize(out.grid, out.outcome.results, histogram_spec);
-  if (info) *info = acc;
   return out;
 }
 

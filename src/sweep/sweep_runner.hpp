@@ -30,19 +30,12 @@
 #include "sweep/corner_grid.hpp"
 #include "sweep/thread_pool.hpp"
 
+namespace emc::robust {
+class JournalWriter;
+}
+
 namespace emc::sweep {
 
-/// Per-worker scratch reused across all corners a worker runs: the dense
-/// Newton/MNA workspace (equal-sized corner circuits never reallocate it)
-/// and the EMI scanner with its FFT plan (equal-length records plan once).
-///
-/// memo_key/memo_record are a single-entry memo for corner functions whose
-/// expensive stage depends on only part of the scenario (the emission
-/// pipeline's transient ignores the supply/detector/RBW axes). A memo hit
-/// returns a record bit-identical to recomputing it — the cached value is
-/// a pure function of the key — so memoization cannot perturb the sweep's
-/// determinism contract. Corners sharing a key are adjacent in grid order
-/// (see AxisId); claim them as one chunk to make the memo hit.
 /// Receiver-scan accounting of one corner: how many detector passes its
 /// scan spent, how many of them were adaptive refinement, and how many
 /// mask crossings were certified. A pure function of the scenario (the
@@ -58,6 +51,17 @@ struct ScanCounts {
   bool operator==(const ScanCounts&) const = default;
 };
 
+/// Per-worker scratch reused across all corners a worker runs: the dense
+/// Newton/MNA workspace (equal-sized corner circuits never reallocate it)
+/// and the EMI scanner with its FFT plan (equal-length records plan once).
+///
+/// memo_key/memo_record are a single-entry memo for corner functions whose
+/// expensive stage depends on only part of the scenario (the emission
+/// pipeline's transient ignores the supply/detector/RBW axes). A memo hit
+/// returns a record bit-identical to recomputing it — the cached value is
+/// a pure function of the key — so memoization cannot perturb the sweep's
+/// determinism contract. Corners sharing a key are adjacent in grid order
+/// (see AxisId); claim them as one chunk to make the memo hit.
 struct Workspace {
   ckt::NewtonWorkspace newton;
   spec::EmiScanner scanner;
@@ -220,8 +224,7 @@ struct SweepOutcome {
   SweepSummary summary;
 
   /// Per-worker pool utilization over this run (index = worker id).
-  /// Diagnostic, scheduling-dependent; empty for drivers that bypass the
-  /// pool (the lane-batched sweep runs single-threaded).
+  /// Diagnostic, scheduling-dependent.
   std::vector<WorkerStats> workers;
 };
 
@@ -254,7 +257,9 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
 /// Progress observer: invoked after every finished corner with
 /// (corners_done, corners_total). Runs on whichever worker finished the
 /// corner, concurrently with other workers — it must be thread-safe and
-/// cheap, and it observes completion order, not grid order.
+/// cheap, and it observes completion order, not grid order. run() counts
+/// the corners of its shard (restored checkpoint corners first);
+/// refine() counts only the corners it evaluates.
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
 /// Thrown by SweepRunner::run when RunOptions::stop was raised: workers
@@ -375,6 +380,19 @@ class SweepRunner {
                        const CornerFn& fn, const RunOptions& opt = {});
 
  private:
+  /// The corner core of run() and refine(): evaluate the grid corners
+  /// `todo` (ascending grid indices) through `fn` on the pool, corner
+  /// todo[k] landing in results[todo[k] - base]. Failure isolation, memo
+  /// accounting, journaling (when `journal` is non-null), cooperative
+  /// stop and progress (counting on from `done` of `total`) all live
+  /// here. Returns the corners done when the pool drained; fewer than
+  /// `total` means opt.stop cut the run short.
+  std::size_t evaluate(const CornerGrid& grid, std::span<const std::size_t> todo,
+                       std::size_t base, std::span<CornerResult> results,
+                       const CornerFn& fn, const RunOptions& opt,
+                       robust::JournalWriter* journal, std::size_t done,
+                       std::size_t total);
+
   ThreadPool pool_;
   std::vector<Workspace> workspaces_;
 };
@@ -386,7 +404,9 @@ obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r);
 
 /// Inverse of corner_journal_json. The scenario is NOT restored (callers
 /// re-derive it from the grid — it is a pure function of the index, which
-/// is returned through `grid_index`). Throws on malformed entries.
+/// is returned through `grid_index`). Throws on malformed entries:
+/// std::invalid_argument for a negative count or index, and for a
+/// worst_index outside a non-empty points list.
 CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index);
 
 /// Deterministic per-corner record for reports and benches: corner
@@ -433,11 +453,6 @@ struct EmissionSweepConfig {
   /// NewtonWorkspace and is reused across every corner the worker runs.
   std::size_t stream_budget_bytes = 64 * 1024;
 
-  /// MNA backend for the corner transients. Lane-batched sweeps require a
-  /// sparse backend; to compare a scalar sweep bit-for-bit against
-  /// run_emission_sweep_lanes, set kSparse on both sides.
-  ckt::SolverKind solver = ckt::SolverKind::kAuto;
-
   /// Retry/escalation ladder for failing corner transients (see
   /// robust::RetryPolicy). The default retries; retry.enabled = false is
   /// the pre-robustness single-attempt path, byte-identical when nothing
@@ -482,59 +497,5 @@ std::size_t emission_chunk_hint(const CornerGrid& grid);
 /// to this string to target one transient group deterministically —
 /// corners differing only in post-processing axes share it.
 std::string emission_transient_key(const Scenario& sc);
-
-/// Telemetry of a lane-batched emission sweep: how many transients
-/// actually ran, how they were batched, and the solver pattern-walk
-/// entries the batched kernels performed vs. what the identical solves
-/// would have walked corner by corner (see LaneRunStats — the ratio is
-/// the structural work reduction of lane batching).
-struct LaneSweepInfo {
-  std::size_t transients = 0;  ///< unique transient groups simulated
-  std::size_t batches = 0;     ///< lane batches dispatched
-  unsigned long long batched_walk_entries = 0;
-  unsigned long long scalar_walk_entries = 0;
-
-  /// Lanes whose batched transient diverged and were evicted to a scalar
-  /// retry under the escalation ladder (survivor lanes kept running).
-  std::size_t demoted = 0;
-};
-
-/// Lane-batched counterpart of SweepRunner + make_emission_corner_fn for
-/// the emission pipeline: corners sharing a transient are grouped (one
-/// group = one lane), consecutive groups sharing the line topology and
-/// pattern length are advanced in lockstep through run_transient_lanes
-/// (up to `max_lanes` at a time), then every corner is post-processed
-/// exactly as the scalar corner function would.
-///
-/// Per-lane arithmetic is bit-identical to the scalar sparse engine, so
-/// the SweepOutcome::summary equals a SweepRunner run of the same grid
-/// with cfg.solver = kSparse. cfg.solver must not be kDense
-/// (std::invalid_argument). `wall_s` per corner is the batch wall time
-/// split evenly — diagnostic only, as in the scalar runner.
-///
-/// Failure isolation: a lane whose batched transient diverges is frozen
-/// by the lane engine while the survivors continue bit-identically, then
-/// demoted here to a scalar retry under cfg.retry's escalation ladder
-/// (LaneSweepInfo::demoted counts evictions). A lane that still fails
-/// past the ladder is recorded per corner (CornerResult::solver_failed),
-/// never thrown — matching SweepRunner's isolating run.
-SweepOutcome run_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                      const CornerGrid& grid,
-                                      std::size_t max_lanes = 4,
-                                      const MarginHistogram& histogram_spec = {},
-                                      LaneSweepInfo* info = nullptr);
-
-/// Lane-batched counterpart of SweepRunner::refine: subdivide the grid's
-/// axes around the pass/fail boundaries of `prior.summary`, carry prior
-/// corners over unchanged, and advance only the new corners through the
-/// lane-batched transient engine (new corners sharing topology are
-/// batched exactly like a fresh lane sweep). Same config restrictions as
-/// run_emission_sweep_lanes; `prior` must be a whole-grid outcome.
-RefineOutcome refine_emission_sweep_lanes(const EmissionSweepConfig& cfg,
-                                          const CornerGrid& grid,
-                                          const SweepOutcome& prior,
-                                          std::size_t max_lanes = 4,
-                                          const MarginHistogram& histogram_spec = {},
-                                          LaneSweepInfo* info = nullptr);
 
 }  // namespace emc::sweep

@@ -1,8 +1,8 @@
-// Sparse MNA substrate: CSR pattern building, lane-batched value storage,
-// and the static-pivot SparseLu — symbolic reuse across refactors, the
+// Sparse MNA substrate: CSR pattern building, value storage, and the
+// static-pivot SparseLu — symbolic reuse across refactors, the
 // weak-diagonal deferral that keeps VSource-style rows factorable without
 // value-dependent pivoting, the dense fallback when the numeric health
-// check fails, and bit-identical lane-batched vs. scalar arithmetic.
+// check fails, and the pattern-walk counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -48,14 +48,13 @@ void fill_banded(std::size_t n, std::uint64_t seed,
   }
 }
 
-void load_matrix(linalg::SparseMatrix& a, const linalg::Matrix& dense,
-                 std::size_t lane = 0) {
-  a.clear_lane(lane);
+void load_matrix(linalg::SparseMatrix& a, const linalg::Matrix& dense) {
+  a.clear_values();
   const std::size_t n = dense.rows();
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       if (dense(i, j) != 0.0) {
-        ASSERT_TRUE(a.add(static_cast<int>(i), static_cast<int>(j), dense(i, j), lane));
+        ASSERT_TRUE(a.add(static_cast<int>(i), static_cast<int>(j), dense(i, j)));
       }
 }
 
@@ -126,25 +125,6 @@ TEST(SparseMatrix, AddMissesOutsidePattern) {
   EXPECT_EQ(d(1, 0), 0.0);
 }
 
-TEST(SparseMatrix, LaneStorageIsIndependent) {
-  const linalg::SparseCoord coords[] = {{0, 0}, {0, 1}, {1, 1}};
-  const auto p = linalg::SparsePattern::build(2, coords);
-  linalg::SparseMatrix a;
-  a.set_pattern(&p, 3);
-
-  a.add(0, 1, 1.0, 0);
-  a.add(0, 1, 2.0, 1);
-  a.add_diag(5.0, 2);
-  EXPECT_EQ(a.to_dense(0)(0, 1), 1.0);
-  EXPECT_EQ(a.to_dense(1)(0, 1), 2.0);
-  EXPECT_EQ(a.to_dense(2)(0, 0), 5.0);
-  EXPECT_EQ(a.to_dense(2)(0, 1), 0.0);
-
-  a.clear_lane(1);
-  EXPECT_EQ(a.to_dense(0)(0, 1), 1.0);
-  EXPECT_EQ(a.to_dense(1)(0, 1), 0.0);
-}
-
 TEST(SparseLu, MatchesDenseOnRandomBandedSystem) {
   const std::size_t n = 30;
   std::vector<linalg::SparseCoord> coords;
@@ -158,7 +138,7 @@ TEST(SparseLu, MatchesDenseOnRandomBandedSystem) {
 
   linalg::SparseLu lu;
   lu.factor(a);
-  EXPECT_EQ(lu.stats().dense_fallback_lanes, 0);
+  EXPECT_EQ(lu.stats().dense_fallbacks, 0);
 
   Lcg rng(7);
   std::vector<double> b(n);
@@ -190,7 +170,7 @@ TEST(SparseLu, WeakDiagonalDeferralHandlesVSourceRows) {
 
   linalg::SparseLu lu;
   lu.factor(a);
-  EXPECT_EQ(lu.stats().dense_fallback_lanes, 0);
+  EXPECT_EQ(lu.stats().dense_fallbacks, 0);
 
   std::vector<double> x = {3.0, 1.0};
   lu.solve_in_place(x);
@@ -238,8 +218,9 @@ TEST(SparseLu, SymbolicReusedAcrossRefactors) {
 
 TEST(SparseLu, DenseFallbackOnHealthFailureStaysCorrect) {
   // Static order eliminates index 0 first; the 1e-30 pivot then produces a
-  // 1e30 multiplier, failing the health check. The lane must transparently
-  // re-factor densely (with partial pivoting) and still solve correctly.
+  // 1e30 multiplier, failing the health check. The solver must
+  // transparently re-factor densely (with partial pivoting) and still
+  // solve correctly.
   const linalg::SparseCoord coords[] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const auto p = linalg::SparsePattern::build(2, coords);
   linalg::SparseMatrix a;
@@ -251,7 +232,7 @@ TEST(SparseLu, DenseFallbackOnHealthFailureStaysCorrect) {
 
   linalg::SparseLu lu;
   lu.factor(a);
-  EXPECT_GT(lu.stats().dense_fallback_lanes, 0);
+  EXPECT_GT(lu.stats().dense_fallbacks, 0);
 
   // Exact solution of [[1e-30, 1], [1, 1]] x = [1, 2] is x ~ [1, 1].
   std::vector<double> x = {1.0, 2.0};
@@ -270,47 +251,6 @@ TEST(SparseLu, SingularBeyondFallbackThrows) {
   EXPECT_FALSE(lu.valid());
 }
 
-TEST(SparseLu, LaneBatchedFactorSolveIsBitIdenticalToScalar) {
-  const std::size_t n = 24;
-  const std::size_t lanes = 4;
-  std::vector<linalg::SparseCoord> coords;
-  linalg::Matrix dense0;
-  fill_banded(n, 11, coords, dense0);
-  const auto p = linalg::SparsePattern::build(n, coords);
-
-  // Batched: all lanes side by side, one factor, one solve.
-  linalg::SparseMatrix batched;
-  batched.set_pattern(&p, lanes);
-  std::vector<linalg::Matrix> per_lane(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    std::vector<linalg::SparseCoord> unused;
-    fill_banded(n, 500 + static_cast<std::uint64_t>(l), unused, per_lane[l]);
-    load_matrix(batched, per_lane[l], l);
-  }
-  linalg::SparseLu lu_b;
-  lu_b.factor(batched);
-
-  Lcg rng(99);
-  std::vector<double> rhs(n * lanes);
-  for (double& v : rhs) v = rng.next();
-  auto xb = rhs;
-  lu_b.solve_lanes_in_place(xb);
-
-  // Scalar reference: each lane alone through a fresh single-lane solver.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    linalg::SparseMatrix single;
-    single.set_pattern(&p, 1);
-    load_matrix(single, per_lane[l]);
-    linalg::SparseLu lu_s;
-    lu_s.factor(single);
-
-    std::vector<double> x(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = rhs[i * lanes + l];
-    lu_s.solve_in_place(x);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(xb[i * lanes + l], x[i]) << "lane " << l;
-  }
-}
-
 TEST(SparseLu, WalkCountersCountPatternEntriesOncePerCall) {
   const std::size_t n = 16;
   std::vector<linalg::SparseCoord> coords;
@@ -318,17 +258,26 @@ TEST(SparseLu, WalkCountersCountPatternEntriesOncePerCall) {
   fill_banded(n, 5, coords, dense);
   const auto p = linalg::SparsePattern::build(n, coords);
 
-  linalg::SparseMatrix one, four;
-  one.set_pattern(&p, 1);
-  four.set_pattern(&p, 4);
-  load_matrix(one, dense);
-  for (std::size_t l = 0; l < 4; ++l) load_matrix(four, dense, l);
+  linalg::SparseMatrix a;
+  a.set_pattern(&p);
+  load_matrix(a, dense);
 
-  linalg::SparseLu lu1, lu4;
-  lu1.factor(one);
-  lu4.factor(four);
-  // Same structure => same per-call walk regardless of lane count.
-  EXPECT_EQ(lu1.factor_walk(), lu4.factor_walk());
-  EXPECT_EQ(lu1.solve_walk(), lu4.solve_walk());
-  EXPECT_GT(lu1.factor_walk(), 0u);
+  // Each call adds its structure's walk once: a refactor of the same
+  // structure walks exactly as much as the first factorization, and
+  // every solve of it walks the same amount.
+  linalg::SparseLu lu;
+  const auto walked = [&] { return lu.stats().walk_entries; };
+  lu.factor(a);
+  const unsigned long long factor_walk = walked();
+  ASSERT_GT(factor_walk, 0u);
+
+  std::vector<double> x(n, 1.0);
+  lu.solve_in_place(x);
+  const unsigned long long solve_walk = walked() - factor_walk;
+  ASSERT_GT(solve_walk, 0u);
+  lu.solve_in_place(x);
+  EXPECT_EQ(walked(), factor_walk + 2 * solve_walk);
+
+  lu.factor(a);
+  EXPECT_EQ(walked(), 2 * factor_walk + 2 * solve_walk);
 }

@@ -471,27 +471,43 @@ TEST(SweepRunner, MemoryAccountingRidesWorkspaceAndIsSchedulingIndependent) {
 }
 
 TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
-  CornerAxes axes;
-  axes.pattern_seed = {1, 2, 3, 4, 5, 6};
-  const CornerGrid grid(axes);
+  /// Counts calls and the highest `done` seen, checking every call
+  /// against the expected total.
+  struct ProgressProbe {
+    std::size_t expected_total = 0;
+    std::atomic<std::size_t> calls{0};
+    std::atomic<std::size_t> max_done{0};
 
-  const CornerFn fn = [](const Scenario&, Workspace&) { return report_with_margin(1.0); };
-
-  std::atomic<std::size_t> calls{0};
-  std::atomic<std::size_t> max_done{0};
-  SweepRunner runner(3);
-  const auto out = runner.run(
-      grid, fn, {}, /*chunk=*/1, [&](std::size_t done, std::size_t total) {
-        EXPECT_EQ(total, grid.size());
+    ProgressFn fn() {
+      return [this](std::size_t done, std::size_t total) {
+        EXPECT_EQ(total, expected_total);
         EXPECT_GE(done, 1u);
         EXPECT_LE(done, total);
         ++calls;
         std::size_t prev = max_done.load();
         while (done > prev && !max_done.compare_exchange_weak(prev, done)) {
         }
-      });
-  EXPECT_EQ(calls.load(), grid.size());
-  EXPECT_EQ(max_done.load(), grid.size());
+      };
+    }
+  };
+
+  CornerAxes axes;
+  axes.pattern_seed = {1, 2, 3, 4, 5, 6};
+  axes.line_length = {0.05, 0.2};
+  const CornerGrid grid(axes);
+
+  // One pass/fail flip on the length axis, so refine has corners to run.
+  const CornerFn fn = [](const Scenario& sc, Workspace&) {
+    return report_with_margin(sc.line_length < 0.1 ? 1.0 : -1.0);
+  };
+
+  // Case 1: run() reports every corner of the grid exactly once.
+  ProgressProbe run_probe;
+  run_probe.expected_total = grid.size();
+  SweepRunner runner(3);
+  const auto out = runner.run(grid, fn, {}, /*chunk=*/1, run_probe.fn());
+  EXPECT_EQ(run_probe.calls.load(), grid.size());
+  EXPECT_EQ(run_probe.max_done.load(), grid.size());
   EXPECT_EQ(out.summary.corners, grid.size());
 
   // Worker telemetry: one entry per pool worker, every corner attributed
@@ -501,6 +517,16 @@ TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
   for (const auto& w : out.workers) items += w.items;
   EXPECT_EQ(items, grid.size());
   for (const auto& r : out.results) EXPECT_LT(r.worker, runner.jobs());
+
+  // Case 2: refine() reports every freshly evaluated corner exactly once.
+  ProgressProbe refine_probe;
+  refine_probe.expected_total = axes.pattern_seed.size();  // one inserted length
+  RunOptions opt;
+  opt.progress = refine_probe.fn();
+  const auto ref = runner.refine(grid, out, fn, opt);
+  ASSERT_EQ(ref.evaluated, refine_probe.expected_total);
+  EXPECT_EQ(refine_probe.calls.load(), ref.evaluated);
+  EXPECT_EQ(refine_probe.max_done.load(), ref.evaluated);
 }
 
 TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
@@ -711,6 +737,45 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   EXPECT_EQ(fb.failure, f.failure);
   EXPECT_EQ(fb.failure_kind, "dc_divergence");
   EXPECT_EQ(fb.solve_attempts, 5);
+}
+
+TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
+  CornerAxes axes;
+  axes.pattern_seed = {1, 2};
+  const CornerGrid grid(axes);
+  CornerResult r;
+  r.scenario = grid.at(1);
+  r.report = report_with_margin(-2.0);
+  const obs::Json good = corner_journal_json(1, r);
+  std::size_t gidx = 0;
+  ASSERT_NO_THROW(corner_from_journal(good, gidx));
+
+  // Each row breaks one field of an otherwise valid entry. A worst_index
+  // outside points would make summary()/worst_point() read out of bounds;
+  // a negative count would wrap to a huge size_t.
+  struct Row {
+    const char* what;
+    bool in_report;
+    const char* key;
+    long value;
+  };
+  const Row rows[] = {
+      {"worst_index past points", true, "worst_index", 1},
+      {"negative worst_index", true, "worst_index", -1},
+      {"negative skipped", true, "skipped", -3},
+      {"negative streamed_bytes", false, "streamed_bytes", -1},
+      {"negative monolithic_bytes", false, "monolithic_bytes", -8},
+      {"negative scan_passes", false, "scan_passes", -1},
+      {"negative scan_refined", false, "scan_refined", -2},
+      {"negative scan_crossings", false, "scan_crossings", -5},
+      {"negative index", false, "index", -1},
+  };
+  for (const Row& row : rows) {
+    obs::Json bad = good;
+    obs::Json& target = row.in_report ? bad.at("report") : bad;
+    target.at(row.key) = obs::Json::integer(row.value);
+    EXPECT_THROW(corner_from_journal(bad, gidx), std::invalid_argument) << row.what;
+  }
 }
 
 TEST(SweepJournal, AbortedRunResumesToByteIdenticalReports) {
