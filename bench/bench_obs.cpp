@@ -130,7 +130,7 @@ BusRun run_bus(const BusSpec& spec) {
 // Cheap corner pipeline (no macromodel estimation) whose transients still
 // drive the dc/transient/newton_step span sites — enough structure for the
 // trace-nesting gate without bench-scale wall time.
-spec::ComplianceReport rc_corner(const sweep::Scenario& sc, sweep::Workspace& ws) {
+sweep::CornerResult rc_corner(const sweep::Scenario& sc, sweep::Workspace& ws) {
   ckt::Circuit c;
   const int in = c.node();
   const int out = c.node();
@@ -147,7 +147,7 @@ spec::ComplianceReport rc_corner(const sweep::Scenario& sc, sweep::Workspace& ws
   spec::LimitMask mask{"v-final", {{1e5, 1.0}, {1e7, 1.0}}};
   const double freq[] = {1e6};
   const double level[] = {v[v.size() - 1]};
-  return spec::check_compliance(freq, level, mask, sc.label());
+  return {.report = spec::check_compliance(freq, level, mask, sc.label())};
 }
 
 // --------------------------------------------------- trace-shape checker

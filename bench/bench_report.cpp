@@ -2,11 +2,14 @@
 // obs::ResourceSampler, obs::merge_run_reports, obs::check_baseline).
 //
 //   [A] shard-merge equality — a 24-corner sweep run once in-process and
-//       once as 4 ShardRange quarters (fresh metrics registry per shard)
-//       must merge into a report byte-identical to the single-process one
-//       on every solver, sweep-summary and metrics field. The only
-//       excluded counter is sweep.runs (1 vs 4 by construction) plus the
-//       scheduling-dependent sections (workers, trace, wall times).
+//       once as 4 journaled ShardRange quarters (fresh metrics registry
+//       per shard). The shard reports merge their metrics; the solver and
+//       sweep sections come from one run over the concatenated shard
+//       journals, tried in both shard orders. Both must be byte-identical
+//       to the single-process report on every solver, sweep-summary and
+//       metrics field. The only excluded counter is sweep.runs (1 vs 4 by
+//       construction) plus the scheduling-dependent sections (workers,
+//       trace, wall times).
 //
 //   [B] profile coverage — a single-threaded traced sweep through the
 //       transient -> scan pipeline, aggregated by obs::Profile, must
@@ -26,6 +29,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +46,7 @@
 #include "obs/report.hpp"
 #include "obs/resource.hpp"
 #include "obs/trace.hpp"
+#include "robust/journal.hpp"
 #include "sweep/corner_grid.hpp"
 #include "sweep/sweep_runner.hpp"
 
@@ -55,10 +60,9 @@ using bench::seconds_since;
 // structurally complete: it drives the dc/transient/newton_step span and
 // counter sites through the engine and the scan/zoom counters through the
 // receiver, so shard merges and profiles have every metric family to
-// aggregate. Solver stats ride the workspace memo fields (the documented
-// channel into CornerResult); there is no memoized stage, so every corner
-// reports its own transient.
-spec::ComplianceReport rc_scan_corner(const sweep::Scenario& sc, sweep::Workspace& ws) {
+// aggregate. There is no memoized stage, so every corner reports its own
+// transient's solver stats.
+sweep::CornerResult rc_scan_corner(const sweep::Scenario& sc, sweep::Workspace& ws) {
   ckt::Circuit c;
   const int in = c.node();
   const int out = c.node();
@@ -74,8 +78,6 @@ spec::ComplianceReport rc_scan_corner(const sweep::Scenario& sc, sweep::Workspac
   opt.dt = 1e-9;
   opt.t_stop = 400e-9;
   const auto res = ckt::run_transient(c, opt, ws.newton);
-  ws.memo_solve = res.stats;
-  ws.memo_hit = false;
   const auto v = res.waveform(out);
 
   spec::ReceiverSettings rx;
@@ -89,8 +91,9 @@ spec::ComplianceReport rc_scan_corner(const sweep::Scenario& sc, sweep::Workspac
   const auto scan = ws.scanner.scan(v, rx);
 
   spec::LimitMask mask{"report-mask", {{1e6, 120.0}, {1e8, 120.0}}};
-  return spec::check_compliance(scan.freq, scan.peak_dbuv, mask, sc.label(),
-                                scan.skipped_points);
+  return {.report = spec::check_compliance(scan.freq, scan.peak_dbuv, mask, sc.label(),
+                                           scan.skipped_points),
+          .solve = res.stats};
 }
 
 // -------------------------------------------------------- report builder
@@ -130,15 +133,16 @@ obs::Json make_report(const sweep::CornerGrid& grid, const sweep::SweepOutcome& 
   return report.to_json();
 }
 
-/// The deterministic view of a report gate [A] compares: solver and sweep
-/// sections plus every metric except the invocation-scoped sweep.runs
-/// counter (1 for the full run, 4 for the shards by construction).
-obs::Json deterministic_view(const obs::Json& report) {
+/// The deterministic view of a report gate [A] compares: the solver and
+/// sweep sections of `run` plus every metric of `metrics` except the
+/// invocation-scoped sweep.runs counter (1 for the full run, 4 for the
+/// shards by construction).
+obs::Json deterministic_view(const obs::Json& run, const obs::Json& metrics_doc) {
   obs::Json view = obs::Json::object();
-  view.set("solver", report.at("solver"));
-  view.set("sweep", report.at("sweep"));
+  view.set("solver", run.at("solver"));
+  view.set("sweep", run.at("sweep"));
   obs::Json metrics = obs::Json::object();
-  for (const auto& [name, value] : report.at("metrics").fields())
+  for (const auto& [name, value] : metrics_doc.at("metrics").fields())
     if (name != "sweep.runs") metrics.set(name, value);
   view.set("metrics", std::move(metrics));
   return view;
@@ -211,9 +215,11 @@ int main(int argc, char** argv) {
   const std::size_t n_shards = 4;
 
   // ---------------------------------------------------------------- A ----
-  // Single-process reference run, then 4 contiguous shards of the same
-  // grid, each with a private metrics epoch; merge the shard reports and
-  // compare the deterministic view byte for byte.
+  // Single-process reference run, then 4 contiguous journaled shards of
+  // the same grid, each with a private metrics epoch. The shard reports
+  // merge their metrics; the shard journals, concatenated forward and
+  // reversed, resume into the merged sweep. Compare the deterministic
+  // views byte for byte.
   obs::registry().set_enabled(true);
   const auto t_merge = std::chrono::steady_clock::now();
 
@@ -223,30 +229,54 @@ int main(int argc, char** argv) {
   const obs::Json full_report = make_report(grid, full_out, obs::registry().snapshot());
 
   std::vector<obs::Json> shard_reports;
+  std::vector<std::string> shard_journals;
   const std::size_t per_shard = grid.size() / n_shards;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    sweep::ShardRange range;
-    range.begin = s * per_shard;
-    range.end = (s + 1 == n_shards) ? grid.size() : (s + 1) * per_shard;
+    sweep::RunOptions sopt;
+    sopt.shard.begin = s * per_shard;
+    sopt.shard.end = (s + 1 == n_shards) ? grid.size() : (s + 1) * per_shard;
+    sopt.journal_path = "report_shard" + std::to_string(s) + ".jsonl";
+    std::remove(sopt.journal_path.c_str());
     obs::registry().reset();
     sweep::SweepRunner shard_runner(2);
-    const auto shard_out = shard_runner.run(grid, rc_scan_corner, {}, 1, {}, range);
-    shard_reports.push_back(
-        make_report(grid, shard_out, obs::registry().snapshot()));
+    const auto shard_out = shard_runner.run(grid, rc_scan_corner, sopt);
+    shard_reports.push_back(make_report(grid, shard_out, obs::registry().snapshot()));
+    shard_journals.push_back(sopt.journal_path);
   }
-  const obs::Json merged = obs::merge_run_reports(shard_reports);
+  const obs::Json merged_metrics = obs::merge_run_reports(shard_reports);
 
-  const std::string full_view = deterministic_view(full_report).dump();
-  const std::string merged_view = deterministic_view(merged).dump();
-  const bool merge_identical = full_view == merged_view;
-  ok &= merge_identical;
-  std::printf("[A] 4-way shard merge vs single process (%zu corners): %s\n", grid.size(),
-              merge_identical ? "byte-identical" : "DIFFERENT");
-  if (!merge_identical) {
-    // Dump both so a CI failure is diagnosable from the log.
-    std::printf("--- full ---\n%s\n--- merged ---\n%s\n", full_view.c_str(),
-                merged_view.c_str());
+  const std::string full_view = deterministic_view(full_report, full_report).dump();
+  bool merge_identical = true;
+  for (const bool reversed : {false, true}) {
+    const std::string all_path = "report_shards_all.jsonl";
+    {
+      std::ofstream all(all_path, std::ios::trunc);
+      for (std::size_t k = 0; k < n_shards; ++k)
+        for (const obs::Json& entry :
+             robust::load_journal(shard_journals[reversed ? n_shards - 1 - k : k]))
+          all << robust::dump_line(entry) << '\n';
+    }
+    sweep::RunOptions ropt;
+    ropt.journal_path = all_path;
+    sweep::SweepRunner merge_runner(2);
+    const auto merged_out = merge_runner.run(grid, rc_scan_corner, ropt);
+    std::remove(all_path.c_str());
+    const std::string merged_view =
+        deterministic_view(make_report(grid, merged_out, {}), merged_metrics).dump();
+    const bool identical = full_view == merged_view;
+    merge_identical &= identical;
+    std::printf("[A] 4-way shard merge (%s shard order) vs single process "
+                "(%zu corners): %s\n",
+                reversed ? "reversed" : "grid", grid.size(),
+                identical ? "byte-identical" : "DIFFERENT");
+    if (!identical) {
+      // Dump both so a CI failure is diagnosable from the log.
+      std::printf("--- full ---\n%s\n--- merged ---\n%s\n", full_view.c_str(),
+                  merged_view.c_str());
+    }
   }
+  for (const std::string& path : shard_journals) std::remove(path.c_str());
+  ok &= merge_identical;
   doc.at("scenarios").push(bench::scenario_row("shard_merge", seconds_since(t_merge)));
   doc.set("merge_identical", bench::Json::boolean(merge_identical));
 

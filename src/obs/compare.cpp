@@ -127,118 +127,6 @@ Json merge_metrics(const std::vector<const Json*>& docs) {
   });
 }
 
-/// Margins serialize as numbers or the string "uncovered" (+inf).
-double margin_value(const Json& j) {
-  return j.is_number() ? j.as_double() : std::numeric_limits<double>::infinity();
-}
-
-/// Sweep-summary merge: the field-by-field rules that make a sharded
-/// sweep's merged summary equal the single-process one.
-Json merge_sweep_summary(const std::vector<const Json*>& vals) {
-  // worst corner: min margin over documents, first document wins ties
-  // (shards arrive in grid order, matching the sequential aggregation).
-  std::size_t winner = 0;
-  double worst = std::numeric_limits<double>::infinity();
-  for (std::size_t d = 0; d < vals.size(); ++d) {
-    const double m = margin_value(vals[d]->at("worst_margin_db"));
-    if (m < worst) {
-      worst = m;
-      winner = d;
-    }
-  }
-
-  return merge_object_fields(vals, [&](const std::string& key,
-                                       const std::vector<const Json*>& fv) -> Json {
-    if (key == "corners" || key == "passed" || key == "failed" ||
-        key == "uncovered" || key == "truncated" || key == "solver_failed" ||
-        key == "recovered" || key == "scan_detector_passes" ||
-        key == "scan_refined_points" || key == "scan_crossings")
-      return sum_integers(fv, key.c_str());
-    if (key == "worst_margin_db" || key == "worst_corner" || key == "worst_label") {
-      // Copied verbatim from the winning document so numeric formatting
-      // (and the label) stay bit-identical to the unsharded run.
-      if (const Json* v = vals[winner]->find(key)) return *v;
-      return *fv[0];
-    }
-    if (key == "peak_streamed_record_bytes" || key == "peak_monolithic_record_bytes")
-      return max_integers(fv, key.c_str());
-    if (key == "per_axis_worst")
-      return *fv[0];  // placeholder; merge_sweep substitutes the real merge
-    if (key == "margin_histogram_db") {
-      const Json& first = *fv[0];
-      Json h = Json::object();
-      h.set("lo_db", first.at("lo_db"));
-      h.set("hi_db", first.at("hi_db"));
-      std::vector<long> counts(first.at("counts").size(), 0);
-      for (const Json* v : fv) {
-        if (v->at("lo_db").dump(0) != first.at("lo_db").dump(0) ||
-            v->at("hi_db").dump(0) != first.at("hi_db").dump(0) ||
-            v->at("counts").size() != counts.size())
-          throw std::invalid_argument("merge: incompatible margin histograms");
-        for (std::size_t i = 0; i < counts.size(); ++i)
-          counts[i] += v->at("counts")[i].as_integer();
-      }
-      Json carr = Json::array();
-      for (long c : counts) carr.push(Json::integer(c));
-      h.set("counts", std::move(carr));
-      return h;
-    }
-    return merge_equal_or_list(fv);
-  });
-}
-
-/// per_axis_worst needs array-of-rows handling that doesn't fit the
-/// object-field helper; done as a dedicated pass.
-Json merge_per_axis_worst(const std::vector<const Json*>& vals) {
-  Json out = Json::array();
-  const Json& first = *vals[0];
-  for (std::size_t r = 0; r < first.size(); ++r) {
-    const Json& row0 = first[r];
-    const std::string axis = row0.at("axis").as_string();
-    Json row = Json::object();
-    row.set("axis", Json::string(axis));
-    Json merged_vals = Json::array();
-    const Json& vals0 = row0.at("worst_by_value");
-    for (std::size_t k = 0; k < vals0.size(); ++k) {
-      const std::string label = vals0[k].at("value").as_string();
-      // min margin across documents; the winning document's JSON value is
-      // copied verbatim (same formatting as the unsharded emitter). The
-      // per-value solver_failed count (newer reports only) sums.
-      const Json* best = &vals0[k].at("worst_margin_db");
-      double best_m = margin_value(*best);
-      const bool has_failed = vals0[k].find("solver_failed") != nullptr;
-      long failed_sum = 0;
-      if (has_failed) failed_sum = vals0[k].at("solver_failed").as_integer();
-      for (std::size_t d = 1; d < vals.size(); ++d) {
-        const Json& doc = *vals[d];
-        for (std::size_t rr = 0; rr < doc.size(); ++rr) {
-          if (doc[rr].at("axis").as_string() != axis) continue;
-          const Json& wv = doc[rr].at("worst_by_value");
-          for (std::size_t kk = 0; kk < wv.size(); ++kk) {
-            if (wv[kk].at("value").as_string() != label) continue;
-            const Json& cand = wv[kk].at("worst_margin_db");
-            if (margin_value(cand) < best_m) {
-              best_m = margin_value(cand);
-              best = &cand;
-            }
-            if (has_failed)
-              if (const Json* f = wv[kk].find("solver_failed"))
-                failed_sum += f->as_integer();
-          }
-        }
-      }
-      Json v = Json::object();
-      v.set("value", Json::string(label));
-      v.set("worst_margin_db", *best);
-      if (has_failed) v.set("solver_failed", Json::integer(failed_sum));
-      merged_vals.push(std::move(v));
-    }
-    row.set("worst_by_value", std::move(merged_vals));
-    out.push(std::move(row));
-  }
-  return out;
-}
-
 /// Profile sections merge like their underlying aggregations: counts and
 /// times sum, min/max extremize, trees merge recursively by name.
 Json merge_profile_tree(const std::vector<const Json*>& trees);
@@ -376,25 +264,6 @@ Json merge_resources(const std::vector<const Json*>& docs) {
       return Json::boolean(any);
     }
     if (key == "rss_series") return Json::array();  // per-process series don't concat meaningfully
-    return merge_equal_or_list(fv);
-  });
-}
-
-Json merge_sweep(const std::vector<const Json*>& docs) {
-  return merge_object_fields(docs, [](const std::string& key,
-                                      const std::vector<const Json*>& fv) -> Json {
-    if (key == "summary") {
-      Json merged = merge_sweep_summary(fv);
-      // per_axis_worst needs the dedicated array-aware pass.
-      std::vector<const Json*> axes;
-      for (const Json* v : fv)
-        if (const Json* a = v->find("per_axis_worst")) axes.push_back(a);
-      if (!axes.empty()) {
-        if (Json* slot = merged.find("per_axis_worst")) *slot = merge_per_axis_worst(axes);
-      }
-      return merged;
-    }
-    if (key == "transients_reused") return sum_integers(fv, key.c_str());
     return merge_equal_or_list(fv);
   });
 }
@@ -596,8 +465,6 @@ Json merge_run_reports(const std::vector<Json>& reports) {
       out.set(key, merge_trace(secs));
     } else if (key == "workers") {
       out.set(key, merge_workers(secs));
-    } else if (key == "sweep") {
-      out.set(key, merge_sweep(secs));
     } else if (key == "solver") {
       out.set(key, merge_solver(secs));
     } else if (key == "profile") {
@@ -605,8 +472,10 @@ Json merge_run_reports(const std::vector<Json>& reports) {
     } else if (key == "resources") {
       out.set(key, merge_resources(secs));
     } else if (secs[0]->is_object()) {
-      // host, config, and any future context section: per-field
-      // equal-or-list.
+      // host, config, sweep and any future context section: per-field
+      // equal-or-list. Sweep summaries are not re-aggregated here: shards
+      // merge by resuming run() over their concatenated journals, so
+      // sweep::summarize() stays the one aggregation rule.
       out.set(key, merge_context(secs));
     } else {
       out.set(key, merge_equal_or_list(secs));

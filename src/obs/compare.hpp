@@ -4,10 +4,14 @@
 //   * merge_run_reports — deterministically combine N reports (the shards
 //     of one logical run) into one, with the same merge discipline the
 //     MetricRegistry uses: counters sum, gauges (peaks) max, histograms
-//     add bucketwise, worker stats concatenate, trace summaries combine,
-//     sweep summaries min/sum/max field by field. A 4-way sharded sweep
-//     merged this way equals the single-process report on every counter,
-//     histogram and summary field (gated in bench_report).
+//     add bucketwise, worker stats concatenate, trace summaries combine.
+//     Sweep sections merge like any context section (agreeing fields pass
+//     through, differing ones become per-document lists): a sharded
+//     sweep's summary comes from SweepRunner::run over the concatenated
+//     shard journals, which re-aggregates through sweep::summarize(). A
+//     4-way sharded sweep merged this way equals the single-process report
+//     on every counter, histogram and summary field (gated in
+//     bench_report).
 //
 //   * check_baseline — score a current document against a committed
 //     baseline spec: a list of (path, expected value, relative tolerance,
@@ -50,8 +54,8 @@ namespace emc::obs {
 
 /// Deterministically merge N RunReport documents into one (see file
 /// comment for the per-section rules). Fields equal across documents pass
-/// through; conflicting context fields (host, config) become arrays of
-/// the per-document values. Throws std::invalid_argument on an empty
+/// through; conflicting context fields (host, config, sweep) become
+/// arrays of the per-document values. Throws std::invalid_argument on an empty
 /// list, a non-object document, or structurally incompatible histograms.
 Json merge_run_reports(const std::vector<Json>& reports);
 

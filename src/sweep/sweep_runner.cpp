@@ -21,11 +21,10 @@ namespace emc::sweep {
 
 namespace {
 
-std::string emission_memo_key(const Scenario& sc) {
-  char key[96];
-  std::snprintf(key, sizeof key, "|%.17g|%.17g", sc.line_length, sc.load_c);
-  return sc.bits + key;
-}
+/// Staging buffer of the streamed corner transient: 64 KiB of
+/// single-channel frames, living in the worker's NewtonWorkspace and
+/// reused across every corner the worker runs.
+constexpr std::size_t kChunkFrames = 64 * 1024 / sizeof(double);
 
 /// Base transient options of a corner. The retry ladder escalates from
 /// these; opt.context carries the corner's transient identity into
@@ -34,9 +33,9 @@ ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
                                             const Scenario& sc) {
   const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
   ckt::TransientOptions opt;
-  opt.dt = cfg.dt;
+  opt.dt = cfg.model->ts;
   opt.t_stop = period * static_cast<double>(cfg.periods);
-  opt.context = emission_memo_key(sc);
+  opt.context = emission_transient_key(sc);
   return opt;
 }
 
@@ -62,7 +61,7 @@ int build_emission_circuit(const EmissionSweepConfig& cfg, const Scenario& sc,
 
   ckt::CoupledLineParams line = cfg.line;
   line.length = sc.line_length;
-  add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, cfg.dt, cfg.sections);
+  add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, cfg.model->ts);
   c.add<ckt::Capacitor>(b1, c.ground(), sc.load_c);
   c.add<ckt::Capacitor>(b2, c.ground(), sc.load_c);
 
@@ -138,7 +137,9 @@ void validate_emission_config(const EmissionSweepConfig& cfg, const char* who) {
 }  // namespace
 
 std::string emission_transient_key(const Scenario& sc) {
-  return emission_memo_key(sc);
+  char key[96];
+  std::snprintf(key, sizeof key, "|%.17g|%.17g", sc.line_length, sc.load_c);
+  return sc.bits + key;
 }
 
 SweepSummary summarize(const CornerGrid& grid, std::span<const CornerResult> results,
@@ -258,10 +259,9 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
   std::unique_ptr<robust::JournalWriter> journal;
   if (!opt.journal_path.empty()) {
     for (const obs::Json& entry : robust::load_journal(opt.journal_path)) {
-      std::size_t gidx = 0;
-      CornerResult r = corner_from_journal(entry, gidx);
+      CornerResult r = corner_from_journal(entry, grid);
+      const std::size_t gidx = r.scenario.index;
       if (gidx < shard.begin || gidx >= shard.end) continue;
-      r.scenario = grid.at(gidx);
       r.from_checkpoint = true;
       restored[gidx - shard.begin] = 1;
       out.results[gidx - shard.begin] = std::move(r);
@@ -312,55 +312,26 @@ std::size_t SweepRunner::evaluate(const CornerGrid& grid, std::span<const std::s
         obs::Span corner_span("corner");
         const auto t0 = std::chrono::steady_clock::now();
         const std::size_t index = todo[k];
+        Scenario sc = grid.at(index);
         CornerResult& slot = results[index - base];
-        slot.scenario = grid.at(index);
-        // memo_attempts/memo_recovered are NOT reset per corner: like the
-        // rest of the memo they describe the transient behind memo_record,
-        // so a memo hit must inherit the producing attempt's ladder
-        // accounting (pure per key — a recovered transient marks every
-        // corner that reuses it as recovered).
-        Workspace& ws = workspaces_[worker];
-        bool corner_ok = true;
-        if (opt.isolate_failures) {
-          try {
-            slot.report = fn(slot.scenario, ws);
-          } catch (const robust::SolveError& e) {
-            // Isolate: record the failure with the corner identity
-            // attached and keep sweeping. The workspace memo still
-            // describes the last corner that SUCCEEDED, so none of the
-            // memo-derived accounting below may be copied.
-            corner_ok = false;
-            const robust::SolveError wrapped =
-                robust::with_corner(e, slot.scenario.label(), index);
-            slot.solver_failed = true;
-            slot.failure = wrapped.what();
-            slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
-            slot.solve_attempts = std::max(1, wrapped.info().attempts);
-            c_isolated.add();
-          }
-        } else {
-          slot.report = fn(slot.scenario, ws);
+        try {
+          slot = fn(sc, workspaces_[worker]);
+        } catch (const robust::SolveError& e) {
+          // Isolate: record the failure with the corner identity attached
+          // and keep sweeping. Exceptions that are not SolveError signal
+          // bugs, not solver trouble, and propagate.
+          const robust::SolveError wrapped = robust::with_corner(e, sc.label(), index);
+          slot.solver_failed = true;
+          slot.failure = wrapped.what();
+          slot.failure_kind = robust::failure_kind_name(wrapped.info().kind);
+          slot.solve_attempts = std::max(1, wrapped.info().attempts);
+          c_isolated.add();
         }
-        if (corner_ok) {
-          // Memory and solver accounting ride the workspace (the corner
-          // function only returns a report): all of these are pure
-          // functions of the memo key, so memo hits report the same
-          // values as the corner that ran the transient and the summary
-          // stays scheduling-independent.
-          slot.streamed_record_bytes = ws.memo_streamed_bytes;
-          slot.monolithic_record_bytes = ws.memo_monolithic_bytes;
-          slot.solve = ws.memo_solve;
-          slot.transient_reused = ws.memo_hit;
-          slot.solve_attempts = std::max(1, ws.memo_attempts);
-          slot.recovered = ws.memo_recovered;
-          // Scan accounting is per corner, not per memo: the corner
-          // function overwrites ws.scan on every call.
-          slot.scan = ws.scan;
-        }
+        slot.scenario = std::move(sc);
         slot.worker = worker;
         slot.wall_s =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        if (journal) journal->append(corner_journal_json(index, slot));
+        if (journal) journal->append(corner_journal_json(slot));
         const std::size_t d = finished.fetch_add(1, std::memory_order_relaxed) + 1;
         if (opt.progress) opt.progress(d, total);
       },
@@ -392,6 +363,21 @@ std::size_t journal_count(const obs::Json& v, const char* field) {
   return static_cast<std::size_t>(x);
 }
 
+/// A corner's identity in the journal: every axis value (doubles exact)
+/// plus the stimulus bits, so an entry can only restore the corner that
+/// produced it.
+obs::Json scenario_identity_json(const Scenario& sc) {
+  auto o = obs::Json::object();
+  o.set("vdd_scale", obs::Json::string(robust::exact_double(sc.vdd_scale)));
+  o.set("pattern_seed", obs::Json::string(std::to_string(sc.pattern_seed)));
+  o.set("line_length", obs::Json::string(robust::exact_double(sc.line_length)));
+  o.set("load_c", obs::Json::string(robust::exact_double(sc.load_c)));
+  o.set("detector", obs::Json::string(detector_name(sc.detector)));
+  o.set("rbw", obs::Json::string(robust::exact_double(sc.rbw)));
+  o.set("bits", obs::Json::string(sc.bits));
+  return o;
+}
+
 ckt::SolveStats solve_stats_from_json(const obs::Json& o) {
   ckt::SolveStats st;
   st.total_newton_iters = o.at("newton").as_integer();
@@ -407,9 +393,10 @@ ckt::SolveStats solve_stats_from_json(const obs::Json& o) {
 
 }  // namespace
 
-obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r) {
+obs::Json corner_journal_json(const CornerResult& r) {
   auto o = obs::Json::object();
-  o.set("index", obs::Json::integer(static_cast<long>(grid_index)));
+  o.set("index", obs::Json::integer(static_cast<long>(r.scenario.index)));
+  o.set("scenario", scenario_identity_json(r.scenario));
   o.set("solver_failed", obs::Json::boolean(r.solver_failed));
   if (!r.failure.empty()) o.set("failure", obs::Json::string(r.failure));
   if (!r.failure_kind.empty())
@@ -451,24 +438,25 @@ obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r) {
   return o;
 }
 
-CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index) {
-  grid_index = journal_count(entry.at("index"), "index");
+CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid) {
+  const std::size_t index = journal_count(entry.at("index"), "index");
+  if (index >= grid.size())
+    throw std::invalid_argument("corner_from_journal: index past the grid");
 
   CornerResult r;
+  r.scenario = grid.at(index);
+  if (scenario_identity_json(r.scenario).dump(0) != entry.at("scenario").dump(0))
+    throw std::invalid_argument("corner_from_journal: entry of corner " +
+                                std::to_string(index) + " is from another grid");
   r.solver_failed = entry.at("solver_failed").as_bool();
   if (const obs::Json* f = entry.find("failure")) r.failure = f->as_string();
   if (const obs::Json* k = entry.find("failure_kind")) r.failure_kind = k->as_string();
   r.solve_attempts = static_cast<int>(entry.at("attempts").as_integer());
   r.recovered = entry.at("recovered").as_bool();
   r.transient_reused = entry.at("reused").as_bool();
-  // Scan accounting entered the journal after the first release of the
-  // format; entries without the keys (older journals) restore as zero.
-  if (const obs::Json* v = entry.find("scan_passes"))
-    r.scan.detector_passes = journal_count(*v, "scan_passes");
-  if (const obs::Json* v = entry.find("scan_refined"))
-    r.scan.refined_points = journal_count(*v, "scan_refined");
-  if (const obs::Json* v = entry.find("scan_crossings"))
-    r.scan.crossings = journal_count(*v, "scan_crossings");
+  r.scan.detector_passes = journal_count(entry.at("scan_passes"), "scan_passes");
+  r.scan.refined_points = journal_count(entry.at("scan_refined"), "scan_refined");
+  r.scan.crossings = journal_count(entry.at("scan_crossings"), "scan_crossings");
   r.streamed_record_bytes = journal_count(entry.at("streamed_bytes"), "streamed_bytes");
   r.monolithic_record_bytes =
       journal_count(entry.at("monolithic_bytes"), "monolithic_bytes");
@@ -527,25 +515,28 @@ obs::Json corner_result_json(const CornerResult& r) {
 CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
   validate_emission_config(cfg, "make_emission_corner_fn");
 
-  return [cfg](const Scenario& sc, Workspace& ws) -> spec::ComplianceReport {
+  return [cfg](const Scenario& sc, Workspace& ws) {
     // The transient depends only on (pattern, line length, load); the
     // supply/detector/RBW axes post-process its record. Memoize the
-    // steady-state record per worker so a chunk of post-processing
-    // corners pays for one transient (a hit is bit-identical to
-    // recomputing — the record is a pure function of the key).
-    std::string memo_key = emission_memo_key(sc);
+    // steady-state record and its accounting per worker so a chunk of
+    // post-processing corners pays for one transient (a hit is
+    // bit-identical to recomputing — both are pure functions of the key).
+    std::string memo_key = emission_transient_key(sc);
     static const obs::Counter c_hits("sweep.memo_hits");
     static const obs::Counter c_misses("sweep.memo_misses");
 
-    ws.memo_hit = ws.memo_key == memo_key;
-    (ws.memo_hit ? c_hits : c_misses).add();
-    if (!ws.memo_hit) {
+    const bool hit = ws.memo_key == memo_key;
+    (hit ? c_hits : c_misses).add();
+    if (!hit) {
       const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
+      CornerResult memo;
+      sig::Waveform record;
       // The transient runs under the retry/escalation ladder: a failing
       // solve is retried with cumulatively stronger numerics, and the
       // ladder schedule is a pure function of the corner, so retried
       // sweeps stay deterministic for any worker count. The body rebuilds
-      // everything per attempt — a failed attempt leaves nothing behind.
+      // everything per attempt and writes only locals; the memo is
+      // committed once the ladder succeeds.
       const robust::RetryOutcome ro = robust::run_with_escalation(
           emission_retry_policy(cfg), emission_base_options(cfg, sc),
           [&](const ckt::TransientOptions& opt) {
@@ -556,37 +547,38 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
             // The ladder may have halved dt; the steady-state window is a
             // frame count, so compute it against the attempt's step.
             const auto per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
-            const std::size_t chunk_frames =
-                std::clamp<std::size_t>(cfg.stream_budget_bytes / sizeof(double), 64, 65536);
 
             // Streamed transient: probe only the measured land and record
             // only the steady-state window (drop the first pattern period
             // as startup transient, keep whole periods so harmonics stay
             // coherently sampled). The engine never materializes the full
-            // all-unknowns record; the chunk staging buffer lives in
-            // ws.newton and is reused across every corner this worker runs.
+            // all-unknowns record.
             sig::RecordingSink rec(per_period,
                                    per_period * static_cast<std::size_t>(cfg.periods - 1));
-            ws.memo_solve =
-                ckt::run_transient_streamed(c, opt, ws.newton, probes, rec, chunk_frames);
+            memo.solve =
+                ckt::run_transient_streamed(c, opt, ws.newton, probes, rec, kChunkFrames);
             // Single-channel recording: the flat buffer IS the steady
             // record — move it out instead of copying through waveform().
-            ws.memo_record =
-                sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period), opt.dt,
-                              std::move(rec).take_data());
+            record = sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period),
+                                   opt.dt, std::move(rec).take_data());
 
             const auto n_unknowns = static_cast<std::size_t>(c.finalize());
             const auto n_frames =
                 static_cast<std::size_t>(std::llround(opt.t_stop / opt.dt)) + 1;
-            ws.memo_streamed_bytes = (chunk_frames + ws.memo_record.size()) * sizeof(double);
-            ws.memo_monolithic_bytes = n_frames * n_unknowns * sizeof(double);
+            memo.streamed_record_bytes = (kChunkFrames + record.size()) * sizeof(double);
+            memo.monolithic_record_bytes = n_frames * n_unknowns * sizeof(double);
           });
-      ws.memo_attempts = ro.attempts;
-      ws.memo_recovered = ro.recovered;
+      memo.solve_attempts = ro.attempts;
+      memo.recovered = ro.recovered;
+      ws.memo = std::move(memo);
+      ws.memo_record = std::move(record);
       ws.memo_key = std::move(memo_key);
     }
 
-    return post_process_corner(cfg, sc, ws.memo_record, ws.scanner, ws.scan);
+    CornerResult r = ws.memo;
+    r.transient_reused = hit;
+    r.report = post_process_corner(cfg, sc, ws.memo_record, ws.scanner, r.scan);
+    return r;
   };
 }
 

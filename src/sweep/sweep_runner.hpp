@@ -51,62 +51,14 @@ struct ScanCounts {
   bool operator==(const ScanCounts&) const = default;
 };
 
-/// Per-worker scratch reused across all corners a worker runs: the dense
-/// Newton/MNA workspace (equal-sized corner circuits never reallocate it)
-/// and the EMI scanner with its FFT plan (equal-length records plan once).
-///
-/// memo_key/memo_record are a single-entry memo for corner functions whose
-/// expensive stage depends on only part of the scenario (the emission
-/// pipeline's transient ignores the supply/detector/RBW axes). A memo hit
-/// returns a record bit-identical to recomputing it — the cached value is
-/// a pure function of the key — so memoization cannot perturb the sweep's
-/// determinism contract. Corners sharing a key are adjacent in grid order
-/// (see AxisId); claim them as one chunk to make the memo hit.
-struct Workspace {
-  ckt::NewtonWorkspace newton;
-  spec::EmiScanner scanner;
-  std::string memo_key;
-  sig::Waveform memo_record;
-
-  /// Scan accounting of the last corner evaluated, overwritten by the
-  /// corner function on every call (NOT memo state: post-processing axes
-  /// change the scan under one memo key). SweepRunner copies it into the
-  /// CornerResult after the corner function returns.
-  ScanCounts scan;
-
-  /// Transient-record memory of the corner that produced memo_record,
-  /// filled by the corner function alongside the memo (pure functions of
-  /// the memo key, so memo hits stay deterministic): bytes the streamed
-  /// path actually held (chunk staging + steady-state record) and bytes a
-  /// monolithic full record of every unknown would have held. SweepRunner
-  /// copies them into each CornerResult after the corner function returns.
-  std::size_t memo_streamed_bytes = 0;
-  std::size_t memo_monolithic_bytes = 0;
-
-  /// Solver statistics of the transient behind memo_record — a pure
-  /// function of the memo key, like the bytes above — and whether the
-  /// last corner evaluated hit the memo. Corner functions without a
-  /// memoized stage may leave both untouched.
-  ckt::SolveStats memo_solve;
-  bool memo_hit = false;
-
-  /// Escalation-ladder accounting of the transient behind memo_record
-  /// (pure per memo key like memo_solve, because the ladder schedule and
-  /// the fault harness are deterministic per transient key): attempts
-  /// actually run (1 = first try succeeded) and whether the solve
-  /// recovered after at least one failed attempt. Never reset per corner:
-  /// a memo hit inherits the producing attempt's accounting, so every
-  /// corner sharing a recovered transient reads as recovered. SweepRunner
-  /// copies both into the CornerResult after the corner function returns.
-  int memo_attempts = 1;
-  bool memo_recovered = false;
-};
-
-/// Verdict of one corner. `wall_s` and `worker` are diagnostic only —
-/// they never enter the summary, which must be scheduling-independent.
+/// Verdict of one corner. The corner function fills the report and the
+/// deterministic accounting (memory, solve stats, ladder, scan); the
+/// runner adds `scenario`, `worker`, `wall_s`, the failure record and
+/// `from_checkpoint`. `wall_s` and `worker` are diagnostic only — they
+/// never enter the summary, which must be scheduling-independent.
 struct CornerResult {
-  Scenario scenario;
-  spec::ComplianceReport report;
+  Scenario scenario{};
+  spec::ComplianceReport report{};
   double wall_s = 0.0;
 
   /// Peak transient-record bytes of the streamed pipeline for this corner
@@ -119,7 +71,7 @@ struct CornerResult {
   /// Solver statistics of the transient behind this corner's record.
   /// Memo hits repeat the producing corner's stats (pure per memo key),
   /// flagged by transient_reused.
-  ckt::SolveStats solve;
+  ckt::SolveStats solve{};
   bool transient_reused = false;
   std::size_t worker = 0;  ///< pool worker that evaluated this corner
 
@@ -128,8 +80,8 @@ struct CornerResult {
   /// carries the formatted robust::SolveError (corner identity attached)
   /// and `report` is empty. Both strings are empty on success.
   bool solver_failed = false;
-  std::string failure;
-  std::string failure_kind;  ///< robust::failure_kind_name() of the failure
+  std::string failure{};
+  std::string failure_kind{};  ///< robust::failure_kind_name() of the failure
 
   /// Escalation-ladder attempts behind this corner's transient (1 = first
   /// try) and whether it recovered after a failed attempt. Deterministic
@@ -140,12 +92,33 @@ struct CornerResult {
   /// Receiver-scan accounting (detector passes / refined points /
   /// certified crossings). Deterministic per scenario; all zero for
   /// solver casualties.
-  ScanCounts scan;
+  ScanCounts scan{};
 
   /// Slot restored from a checkpoint journal instead of being evaluated
   /// (wall_s/worker are zero for such corners — they ran in a prior
   /// process). Scheduling-dependent, never journaled or summarized.
   bool from_checkpoint = false;
+};
+
+/// Per-worker scratch reused across all corners a worker runs: the dense
+/// Newton/MNA workspace (equal-sized corner circuits never reallocate it)
+/// and the EMI scanner with its FFT plan (equal-length records plan once).
+///
+/// memo_key/memo_record/memo are a single-entry memo for corner functions
+/// whose expensive stage depends on only part of the scenario (the
+/// emission pipeline's transient ignores the supply/detector/RBW axes):
+/// the steady record and, in `memo`, the accounting of the transient that
+/// produced it (record bytes, solve stats, ladder attempts). Both are pure
+/// functions of the key, so a memo hit returns exactly what recomputing
+/// would and cannot perturb the sweep's determinism contract. Corners
+/// sharing a key are adjacent in grid order (see AxisId); claim them as
+/// one chunk to make the memo hit.
+struct Workspace {
+  ckt::NewtonWorkspace newton;
+  spec::EmiScanner scanner;
+  std::string memo_key;
+  sig::Waveform memo_record;
+  CornerResult memo;
 };
 
 /// Fixed-bin histogram of per-corner worst margins; corners outside the
@@ -213,11 +186,11 @@ struct SweepSummary {
   bool operator==(const SweepSummary&) const = default;
 };
 
-/// Per-corner evaluation: Scenario -> ComplianceReport using only
-/// worker-local scratch plus shared *immutable* inputs. May throw; the
-/// sweep rethrows the first failure after the loop drains.
-using CornerFn =
-    std::function<spec::ComplianceReport(const Scenario&, Workspace&)>;
+/// Per-corner evaluation: Scenario -> CornerResult using only worker-local
+/// scratch plus shared *immutable* inputs. A robust::SolveError is
+/// isolated into the corner's failure record; any other exception signals
+/// a bug and is rethrown after the loop drains.
+using CornerFn = std::function<CornerResult(const Scenario&, Workspace&)>;
 
 struct SweepOutcome {
   std::vector<CornerResult> results;  ///< grid order
@@ -230,9 +203,9 @@ struct SweepOutcome {
 
 /// Contiguous grid-index range [begin, end) for sharded sweeps. The
 /// default covers the whole grid; `end` is clamped to grid.size(). Shards
-/// run over the SAME grid (not a sub-grid), so every shard's summary keeps
-/// the full per-axis table shape and N shard reports merged with
-/// obs::merge_run_reports equal the single-process report field for field.
+/// run over the SAME grid (not a sub-grid), so their journals index one
+/// grid: run() over the concatenation of every shard's journal restores
+/// all corners and summarizes them exactly as the single-process run.
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = SIZE_MAX;
@@ -278,21 +251,15 @@ struct RunOptions {
   ProgressFn progress{};
   ShardRange shard{};
 
-  /// Capture a corner's robust::SolveError into its CornerResult
-  /// (solver_failed + failure text) instead of failing the sweep — the
-  /// remaining corners still run and the summary counts the casualty
-  /// under solver_failed. Off restores the pre-isolation behavior (first
-  /// failure rethrown after the loop drains). Exceptions that are not
-  /// SolveError always propagate: they signal bugs, not solver trouble.
-  bool isolate_failures = true;
-
   /// Append every finished corner (successes and isolated failures) to
   /// this JSON-lines checkpoint journal, and before running restore the
   /// corners already present — matching grid indices inside the shard are
   /// skipped and flagged from_checkpoint. Doubles round-trip exactly
   /// (%.17g), so a killed shard resumed over the same journal produces a
   /// summary and per-corner reports byte-identical to an uninterrupted
-  /// run. Empty disables checkpointing.
+  /// run; the same holds for the concatenated journals of several shards.
+  /// An entry recorded for another grid throws std::invalid_argument.
+  /// Empty disables checkpointing.
   std::string journal_path;
 
   /// Cooperative abort: when *stop becomes true, workers stop claiming
@@ -342,9 +309,6 @@ struct RefineOutcome {
 /// Owns the thread pool and one Workspace per worker.
 class SweepRunner {
  public:
-  /// See sweep::ProgressFn (kept as a member alias for existing callers).
-  using ProgressFn = emc::sweep::ProgressFn;
-
   /// `jobs` worker threads (including the caller); clamped to >= 1.
   explicit SweepRunner(std::size_t jobs);
 
@@ -362,8 +326,8 @@ class SweepRunner {
                    const MarginHistogram& histogram_spec = {}, std::size_t chunk = 1,
                    const ProgressFn& progress = {}, ShardRange shard = {});
 
-  /// Same run with the full option set: failure isolation, checkpoint
-  /// journal + resume, cooperative abort. See RunOptions.
+  /// Same run with the full option set: checkpoint journal + resume,
+  /// cooperative abort. See RunOptions.
   SweepOutcome run(const CornerGrid& grid, const CornerFn& fn, const RunOptions& opt);
 
   /// Scenario-axis refinement stage: subdivide `grid`'s axes around the
@@ -382,8 +346,9 @@ class SweepRunner {
  private:
   /// The corner core of run() and refine(): evaluate the grid corners
   /// `todo` (ascending grid indices) through `fn` on the pool, corner
-  /// todo[k] landing in results[todo[k] - base]. Failure isolation, memo
-  /// accounting, journaling (when `journal` is non-null), cooperative
+  /// todo[k] landing in results[todo[k] - base] (a default CornerResult
+  /// on entry, which an isolated failure fills). Failure isolation,
+  /// journaling (when `journal` is non-null), cooperative
   /// stop and progress (counting on from `done` of `total`) all live
   /// here. Returns the corners done when the pool drained; fewer than
   /// `total` means opt.stop cut the run short.
@@ -397,17 +362,18 @@ class SweepRunner {
   std::vector<Workspace> workspaces_;
 };
 
-/// One finished corner as a checkpoint-journal entry: grid index plus
+/// One finished corner as a checkpoint-journal entry: grid index, the
+/// corner's exact scenario (every axis value plus the stimulus bits) and
 /// every schedule-independent CornerResult field, doubles spelled with
 /// robust::exact_double so decoding reproduces them bit-for-bit.
-obs::Json corner_journal_json(std::size_t grid_index, const CornerResult& r);
+obs::Json corner_journal_json(const CornerResult& r);
 
-/// Inverse of corner_journal_json. The scenario is NOT restored (callers
-/// re-derive it from the grid — it is a pure function of the index, which
-/// is returned through `grid_index`). Throws on malformed entries:
-/// std::invalid_argument for a negative count or index, and for a
+/// Inverse of corner_journal_json on `grid`: the scenario is re-derived
+/// as grid.at(index). Throws std::invalid_argument on malformed entries —
+/// a negative count, an index past the grid, a scenario that is not the
+/// grid's corner at that index (a journal of another grid), or a
 /// worst_index outside a non-empty points list.
-CornerResult corner_from_journal(const obs::Json& entry, std::size_t& grid_index);
+CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid);
 
 /// Deterministic per-corner record for reports and benches: corner
 /// identity, solver-failure record, ladder accounting and the compliance
@@ -438,20 +404,12 @@ obs::Json worker_stats_json(std::span<const WorkerStats> workers);
 struct EmissionSweepConfig {
   const core::PwRbfDriverModel* model = nullptr;  ///< shared, outlives the sweep
   ckt::CoupledLineParams line;  ///< base 2-conductor line; length set per corner
-  int sections = 0;             ///< modal sections per corner (0 = auto)
+                                ///< (modal sections sized automatically)
   double bit_time = 1e-9;       ///< stimulus bit period [s]
   int periods = 3;              ///< simulated pattern repetitions; the first is
                                 ///< discarded as startup transient
   spec::ReceiverSettings rx;    ///< base receiver; rbw/name set per corner
   spec::LimitMask mask;         ///< limit the detector trace is scored against
-  double dt = 25e-12;           ///< engine step = model sampling time Ts
-
-  /// Per-worker streaming budget for the transient chunk staging buffer.
-  /// The corner transient runs through run_transient_streamed probing only
-  /// the measured land, with chunk_frames = budget / (8 * channels)
-  /// (clamped to [64, 65536]); the buffer lives in the worker's
-  /// NewtonWorkspace and is reused across every corner the worker runs.
-  std::size_t stream_budget_bytes = 64 * 1024;
 
   /// Retry/escalation ladder for failing corner transients (see
   /// robust::RetryPolicy). The default retries; retry.enabled = false is
@@ -475,7 +433,8 @@ struct EmissionSweepConfig {
 /// Build the corner function running the full pipeline:
 /// transient (far-end active-land voltage) -> steady-state slice ->
 /// supply-corner scaling -> swept EMI receiver -> compliance report of the
-/// scenario's detector trace against cfg.mask.
+/// scenario's detector trace against cfg.mask. The engine step is the
+/// macromodel's sampling time model->ts (DriverDevice accepts no other).
 ///
 /// The supply axis is applied as a first-order approximation: port
 /// waveforms (and thus emission levels) scale ~linearly with VDD, so the
@@ -491,8 +450,8 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg);
 /// first of them. Returns axis_size(rbw) * axis_size(vdd) * axis_size(det).
 std::size_t emission_chunk_hint(const CornerGrid& grid);
 
-/// Identity of the transient behind a corner: the memo key the emission
-/// pipeline uses (pattern bits + line length + load, %.17g exact) and the
+/// Identity of the transient behind a corner: the memo key of the emission
+/// pipeline (pattern bits + line length + load, %.17g exact) and the
 /// TransientOptions::context it runs under. Key robust::FaultSpec entries
 /// to this string to target one transient group deterministically —
 /// corners differing only in post-processing axes share it.

@@ -1,6 +1,6 @@
 // Tests of the report-level observability tooling: the RunReport host
 // section and full-schema round-trip, merge_run_reports (the N-way
-// shard-merge rules), check_baseline / diff_reports verdicts, and
+// report-merge rules), check_baseline / diff_reports verdicts, and
 // resolve_path addressing.
 #include <gtest/gtest.h>
 
@@ -159,9 +159,13 @@ TEST(ObsMerge, TraceSummariesCombineAndPluralizeFiles) {
 
 TEST(ObsMerge, ContextFieldsPassEqualAndListDisagreements) {
   const Json a = Json::parse(R"({"report": "r", "schema_version": 2,
-    "config": {"jobs": 2, "grid": "4x3x2"}, "host": {"cpus": 8}})");
+    "config": {"jobs": 2, "grid": "4x3x2"}, "host": {"cpus": 8},
+    "sweep": {"summary": {"corners": 4, "worst_margin_db": -2.5},
+              "transients_reused": 0}})");
   const Json b = Json::parse(R"({"report": "r", "schema_version": 2,
-    "config": {"jobs": 4, "grid": "4x3x2"}, "host": {"cpus": 8}})");
+    "config": {"jobs": 4, "grid": "4x3x2"}, "host": {"cpus": 8},
+    "sweep": {"summary": {"corners": 4, "worst_margin_db": -5.0},
+              "transients_reused": 0}})");
 
   const Json m = obs::merge_run_reports({a, b});
   // Agreeing fields pass through; disagreeing ones become per-doc lists.
@@ -170,6 +174,15 @@ TEST(ObsMerge, ContextFieldsPassEqualAndListDisagreements) {
   EXPECT_EQ(m.at("config").at("jobs")[0].as_integer(), 2);
   EXPECT_EQ(m.at("config").at("jobs")[1].as_integer(), 4);
   EXPECT_EQ(m.at("host").at("cpus").as_integer(), 8);
+  // Sweep sections are context too: summaries are never re-aggregated
+  // from JSON (shards merge through a journal resume), so differing
+  // summaries stay side by side in document order.
+  const Json& sweep = m.at("sweep");
+  EXPECT_EQ(sweep.at("transients_reused").as_integer(), 0);
+  ASSERT_TRUE(sweep.at("summary").is_array());
+  ASSERT_EQ(sweep.at("summary").size(), 2u);
+  EXPECT_DOUBLE_EQ(sweep.at("summary")[0].at("worst_margin_db").as_double(), -2.5);
+  EXPECT_DOUBLE_EQ(sweep.at("summary")[1].at("worst_margin_db").as_double(), -5.0);
 }
 
 TEST(ObsMerge, SolverCountersSumAndKindMixes) {
@@ -186,45 +199,6 @@ TEST(ObsMerge, SolverCountersSumAndKindMixes) {
 
   const Json same = obs::merge_run_reports({a, a});
   EXPECT_EQ(same.at("solver").at("kind").as_string(), "sparse");
-}
-
-TEST(ObsMerge, SweepSummariesMergeLikeTheUnshardedRun) {
-  const Json a = Json::parse(R"({"report": "r", "schema_version": 2, "sweep": {
-    "summary": {"corners": 4, "passed": 3, "failed": 1,
-                "worst_margin_db": -2.5, "worst_label": "corner/1",
-                "per_axis_worst": [{"axis": "vdd", "worst_by_value": [
-                  {"value": "0.9", "worst_margin_db": -2.5},
-                  {"value": "1.1", "worst_margin_db": 1.0}]}],
-                "margin_histogram_db": {"lo_db": -10.0, "hi_db": 10.0,
-                                        "counts": [1, 3]}},
-    "transients_reused": 0}})");
-  const Json b = Json::parse(R"({"report": "r", "schema_version": 2, "sweep": {
-    "summary": {"corners": 4, "passed": 2, "failed": 2,
-                "worst_margin_db": -5.0, "worst_label": "corner/7",
-                "per_axis_worst": [{"axis": "vdd", "worst_by_value": [
-                  {"value": "0.9", "worst_margin_db": -1.0},
-                  {"value": "1.1", "worst_margin_db": -5.0}]}],
-                "margin_histogram_db": {"lo_db": -10.0, "hi_db": 10.0,
-                                        "counts": [2, 2]}},
-    "transients_reused": 1}})");
-
-  const Json m = obs::merge_run_reports({a, b});
-  const Json& sweep = m.at("sweep");
-  const Json& sum = sweep.at("summary");
-  EXPECT_EQ(sum.at("corners").as_integer(), 8);
-  EXPECT_EQ(sum.at("passed").as_integer(), 5);
-  EXPECT_EQ(sum.at("failed").as_integer(), 3);
-  // The globally worst document wins verbatim — margin and label together.
-  EXPECT_DOUBLE_EQ(sum.at("worst_margin_db").as_double(), -5.0);
-  EXPECT_EQ(sum.at("worst_label").as_string(), "corner/7");
-  // Per-axis rows take the min margin per value across documents.
-  const Json& vdd = sum.at("per_axis_worst")[0].at("worst_by_value");
-  EXPECT_DOUBLE_EQ(vdd[0].at("worst_margin_db").as_double(), -2.5);
-  EXPECT_DOUBLE_EQ(vdd[1].at("worst_margin_db").as_double(), -5.0);
-  // Histogram counts add bucket-wise over identical edges.
-  EXPECT_EQ(sum.at("margin_histogram_db").at("counts")[0].as_integer(), 3);
-  EXPECT_EQ(sum.at("margin_histogram_db").at("counts")[1].as_integer(), 5);
-  EXPECT_EQ(sweep.at("transients_reused").as_integer(), 1);
 }
 
 TEST(ObsMerge, ProfileSectionsMergeTreesByName) {

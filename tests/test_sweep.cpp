@@ -392,7 +392,7 @@ TEST(SweepSummary, RecordMemoryPeaksAggregateOverAllCorners) {
 /// with the per-worker Newton workspace; the "report" scores the final
 /// capacitor voltage. Exercises run_transient's external-workspace path
 /// across many same-sized circuits per worker.
-spec::ComplianceReport rc_corner(const Scenario& sc, Workspace& ws) {
+CornerResult rc_corner(const Scenario& sc, Workspace& ws) {
   ckt::Circuit c;
   const int in = c.node();
   const int out = c.node();
@@ -409,7 +409,7 @@ spec::ComplianceReport rc_corner(const Scenario& sc, Workspace& ws) {
   spec::LimitMask mask{"v-final", {{1e5, 1.0}, {1e7, 1.0}}};
   const double freq[] = {1e6};
   const double level[] = {v[v.size() - 1]};
-  return spec::check_compliance(freq, level, mask, sc.label());
+  return {.report = spec::check_compliance(freq, level, mask, sc.label())};
 }
 
 TEST(SweepRunner, OneThreadAndNThreadSweepsAreBitIdentical) {
@@ -443,17 +443,17 @@ TEST(SweepRunner, OneThreadAndNThreadSweepsAreBitIdentical) {
   EXPECT_GT(a.summary.passed + a.summary.failed, 0u);
 }
 
-TEST(SweepRunner, MemoryAccountingRidesWorkspaceAndIsSchedulingIndependent) {
+TEST(SweepRunner, MemoryAccountingRidesCornerResultAndIsSchedulingIndependent) {
   CornerAxes axes;
   axes.pattern_seed = {1, 2, 3, 4, 5, 6, 7, 8};
   const CornerGrid grid(axes);
 
   // Pure function of the scenario, as the streamed emission pipeline
   // guarantees: every scheduling must report identical bytes.
-  const CornerFn fn = [](const Scenario& sc, Workspace& ws) {
-    ws.memo_streamed_bytes = 10 + sc.index;
-    ws.memo_monolithic_bytes = 1000 + 10 * sc.index;
-    return report_with_margin(1.0);
+  const CornerFn fn = [](const Scenario& sc, Workspace&) {
+    return CornerResult{.report = report_with_margin(1.0),
+                        .streamed_record_bytes = 10 + sc.index,
+                        .monolithic_record_bytes = 1000 + 10 * sc.index};
   };
 
   SweepRunner serial(1);
@@ -498,7 +498,7 @@ TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
 
   // One pass/fail flip on the length axis, so refine has corners to run.
   const CornerFn fn = [](const Scenario& sc, Workspace&) {
-    return report_with_margin(sc.line_length < 0.1 ? 1.0 : -1.0);
+    return CornerResult{.report = report_with_margin(sc.line_length < 0.1 ? 1.0 : -1.0)};
   };
 
   // Case 1: run() reports every corner of the grid exactly once.
@@ -529,7 +529,7 @@ TEST(SweepRunner, ProgressCallbackSeesEveryCornerOnce) {
   EXPECT_EQ(refine_probe.max_done.load(), ref.evaluated);
 }
 
-TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
+TEST(SweepRunner, SolverTelemetryRidesCornerResultLikeMemory) {
   CornerAxes axes;
   axes.pattern_seed = {1, 2, 3};
   axes.vdd_scale = {0.9, 1.0};  // post-processing axis: shares transients
@@ -539,15 +539,17 @@ TEST(SweepRunner, SolverTelemetryRidesWorkspaceLikeMemory) {
   // A corner fn that marks its "transient" work the way the emission fn
   // does: a fresh solve per pattern, memo hits for the vdd corners.
   const CornerFn fn = [](const Scenario& sc, Workspace& ws) {
-    const std::string key = sc.bits;
-    ws.memo_hit = ws.memo_key == key;
-    if (!ws.memo_hit) {
-      ws.memo_solve = {};
-      ws.memo_solve.total_newton_iters = 100 + static_cast<long>(sc.pattern_seed);
-      ws.memo_solve.used_sparse = 1;
-      ws.memo_key = key;
+    const bool hit = ws.memo_key == sc.bits;
+    if (!hit) {
+      ws.memo = {};
+      ws.memo.solve.total_newton_iters = 100 + static_cast<long>(sc.pattern_seed);
+      ws.memo.solve.used_sparse = 1;
+      ws.memo_key = sc.bits;
     }
-    return report_with_margin(1.0);
+    CornerResult r = ws.memo;
+    r.transient_reused = hit;
+    r.report = report_with_margin(1.0);
+    return r;
   };
 
   SweepRunner serial(1);
@@ -634,13 +636,6 @@ TEST(SweepRunner, SolveErrorIsIsolatedByDefaultAndSweepCompletes) {
   SweepRunner serial(1);
   const auto ref = serial.run(grid, fn, RunOptions{});
   EXPECT_TRUE(ref.summary == out.summary);
-
-  // Opting out restores the fail-fast contract. With two failing corners
-  // the pool may wrap the survivor exception in its suppression message,
-  // so catch the base type (SolveError IS-A runtime_error).
-  RunOptions strict;
-  strict.isolate_failures = false;
-  EXPECT_THROW(runner.run(grid, fn, strict), std::runtime_error);
 }
 
 TEST(SweepSummary, SolverFailuresAreClassifiedAndAttributedPerAxis) {
@@ -703,10 +698,10 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   r.solve_attempts = 2;
   r.recovered = true;
 
-  const auto entry = corner_journal_json(1, r);
-  std::size_t gidx = SIZE_MAX;
-  const CornerResult back = corner_from_journal(entry, gidx);
-  EXPECT_EQ(gidx, 1u);
+  const auto entry = corner_journal_json(r);
+  const CornerResult back = corner_from_journal(entry, grid);
+  EXPECT_EQ(back.scenario.index, 1u);
+  EXPECT_EQ(back.scenario.bits, r.scenario.bits);
   EXPECT_EQ(back.solver_failed, r.solver_failed);
   EXPECT_EQ(back.solve_attempts, 2);
   EXPECT_TRUE(back.recovered);
@@ -731,8 +726,7 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   f.failure = "solve failed [kind=dc_divergence ...]";
   f.failure_kind = "dc_divergence";
   f.solve_attempts = 5;
-  std::size_t gf = 0;
-  const CornerResult fb = corner_from_journal(corner_journal_json(0, f), gf);
+  const CornerResult fb = corner_from_journal(corner_journal_json(f), grid);
   EXPECT_TRUE(fb.solver_failed);
   EXPECT_EQ(fb.failure, f.failure);
   EXPECT_EQ(fb.failure_kind, "dc_divergence");
@@ -746,13 +740,13 @@ TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
   CornerResult r;
   r.scenario = grid.at(1);
   r.report = report_with_margin(-2.0);
-  const obs::Json good = corner_journal_json(1, r);
-  std::size_t gidx = 0;
-  ASSERT_NO_THROW(corner_from_journal(good, gidx));
+  const obs::Json good = corner_journal_json(r);
+  ASSERT_NO_THROW(corner_from_journal(good, grid));
 
   // Each row breaks one field of an otherwise valid entry. A worst_index
   // outside points would make summary()/worst_point() read out of bounds;
-  // a negative count would wrap to a huge size_t.
+  // a negative count would wrap to a huge size_t; an index past the grid
+  // or of another corner would restore a verdict under the wrong label.
   struct Row {
     const char* what;
     bool in_report;
@@ -769,13 +763,29 @@ TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
       {"negative scan_refined", false, "scan_refined", -2},
       {"negative scan_crossings", false, "scan_crossings", -5},
       {"negative index", false, "index", -1},
+      {"index past the grid", false, "index", 2},
+      {"index of another corner", false, "index", 0},
   };
   for (const Row& row : rows) {
     obs::Json bad = good;
     obs::Json& target = row.in_report ? bad.at("report") : bad;
     target.at(row.key) = obs::Json::integer(row.value);
-    EXPECT_THROW(corner_from_journal(bad, gidx), std::invalid_argument) << row.what;
+    EXPECT_THROW(corner_from_journal(bad, grid), std::invalid_argument) << row.what;
   }
+
+  // A whole journal of grid A resumed on an equal-sized grid B: the first
+  // entry already fails its identity check, so B never reports A's
+  // verdicts under its own labels.
+  const std::string jpath = "test_sweep_journal_other_grid.jsonl";
+  std::remove(jpath.c_str());
+  RunOptions opt;
+  opt.journal_path = jpath;
+  SweepRunner runner(2);
+  runner.run(grid, rc_corner, opt);
+  CornerAxes other = axes;
+  other.pattern_seed = {3, 4};
+  EXPECT_THROW(runner.run(CornerGrid(other), rc_corner, opt), std::invalid_argument);
+  std::remove(jpath.c_str());
 }
 
 TEST(SweepJournal, AbortedRunResumesToByteIdenticalReports) {
@@ -835,6 +845,55 @@ TEST(SweepJournal, AbortedRunResumesToByteIdenticalReports) {
 
   std::remove(j_full.c_str());
   std::remove(j_cut.c_str());
+
+  // Shard merge is the same resume: two shard journals, concatenated with
+  // the later shard first, restore every corner of the whole run. Every
+  // corner ties on margin, so the worst corner must still be the first in
+  // grid order however the journals are ordered.
+  CornerAxes tie_axes;
+  tie_axes.vdd_scale = {0.9, 1.1};
+  tie_axes.pattern_seed = {1, 2};
+  const CornerGrid tie_grid(tie_axes);
+  const CornerFn tied = [](const Scenario&, Workspace&) {
+    return CornerResult{.report = report_with_margin(-1.0)};
+  };
+  const auto whole = runner.run(tie_grid, tied, RunOptions{});
+  ASSERT_EQ(whole.summary.worst_corner, 0u);
+
+  const std::string j0 = "test_sweep_shard0.jsonl";
+  const std::string j1 = "test_sweep_shard1.jsonl";
+  const std::string j_all = "test_sweep_shards_all.jsonl";
+  for (const std::string& p : {j0, j1, j_all}) std::remove(p.c_str());
+  RunOptions s0;
+  s0.shard = {0, 2};
+  s0.journal_path = j0;
+  RunOptions s1;
+  s1.shard = {2, 4};
+  s1.journal_path = j1;
+  runner.run(tie_grid, tied, s0);
+  resumer.run(tie_grid, tied, s1);
+  {
+    std::ofstream all(j_all);
+    for (const std::string& p : {j1, j0})
+      for (const obs::Json& e : robust::load_journal(p)) all << robust::dump_line(e) << '\n';
+  }
+  std::atomic<int> calls{0};
+  const CornerFn counting = [&](const Scenario& sc, Workspace& ws) {
+    ++calls;
+    return tied(sc, ws);
+  };
+  RunOptions mopt;
+  mopt.journal_path = j_all;
+  const auto merged = resumer.run(tie_grid, counting, mopt);
+  EXPECT_EQ(calls.load(), 0);  // every corner came from a shard journal
+  EXPECT_EQ(summary_json(tie_grid, whole.summary).dump(2),
+            summary_json(tie_grid, merged.summary).dump(2));
+  for (std::size_t i = 0; i < tie_grid.size(); ++i)
+    EXPECT_EQ(corner_result_json(whole.results[i]).dump(2),
+              corner_result_json(merged.results[i]).dump(2))
+        << "tied corner " << i;
+
+  for (const std::string& p : {j0, j1, j_all}) std::remove(p.c_str());
 }
 
 TEST(SweepRunner, CooperativeStopAbortsJournalsAndResumes) {

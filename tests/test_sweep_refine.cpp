@@ -41,10 +41,10 @@ spec::ComplianceReport synthetic_report(double margin_db, bool covered = true) {
 }
 
 CornerFn make_synthetic_fn(std::atomic<std::size_t>* calls = nullptr) {
-  return [calls](const Scenario& sc, Workspace& ws) {
+  return [calls](const Scenario& sc, Workspace&) {
     if (calls) calls->fetch_add(1, std::memory_order_relaxed);
-    ws.scan = ScanCounts{0, 7, 0};  // fixed-plan style accounting
-    return synthetic_report(synthetic_margin(sc));
+    return CornerResult{.report = synthetic_report(synthetic_margin(sc)),
+                        .scan = ScanCounts{0, 7, 0}};  // fixed-plan style accounting
   };
 }
 

@@ -3,8 +3,11 @@
 //   emc_report show REPORT.json
 //       Parse and pretty-print (validates the document round-trips).
 //   emc_report merge -o OUT.json IN1.json IN2.json ...
-//       Deterministic N-way merge of sharded run reports
-//       (obs::merge_run_reports; see src/obs/compare.hpp for the rules).
+//       Deterministic N-way merge of run reports (obs::merge_run_reports;
+//       see src/obs/compare.hpp for the rules): counters sum, differing
+//       sweep summaries are listed per document. The merged summary of a
+//       sharded sweep comes from SweepRunner::run over the concatenated
+//       shard journals, not from this command.
 //   emc_report diff BASELINE.json CURRENT.json [--rel-tol X]
 //       Compare every scalar leaf of BASELINE against CURRENT under one
 //       uniform relative tolerance (default 0.25). Exit 1 on regression.
