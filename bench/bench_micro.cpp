@@ -101,9 +101,11 @@ void BM_TransientCmosInverter(benchmark::State& state) {
 }
 
 void BM_OlsFit(benchmark::State& state) {
-  // RBF estimation cost on a synthetic NARX dataset (the per-model cost of
-  // the paper's "low cost of generation" claim).
-  const std::size_t n = 4000;
+  // RBF estimation cost on a synthetic NARX-sized dataset (the per-model
+  // cost of the paper's "low cost of generation" claim). Args: rows, basis
+  // functions; 5 inputs and the default 400 candidate centers. 7668 x 26
+  // is the shape of one driver submodel path (orders 2/2, MD1-MD3).
+  const auto n = static_cast<std::size_t>(state.range(0));
   linalg::Matrix x(n, 5);
   std::vector<double> y(n);
   sig::Lcg rng(11);
@@ -112,7 +114,7 @@ void BM_OlsFit(benchmark::State& state) {
     y[r] = std::tanh(x(r, 0)) + 0.2 * x(r, 3);
   }
   ident::RbfFitOptions opt;
-  opt.max_basis = static_cast<int>(state.range(0));
+  opt.max_basis = static_cast<int>(state.range(1));
   for (auto _ : state) {
     auto m = ident::fit_rbf_ols(x, y, opt);
     benchmark::DoNotOptimize(m);
@@ -125,6 +127,11 @@ BENCHMARK(BM_DenseLuSolve)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_RbfEval)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_TransientRcLadder)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TransientCmosInverter)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OlsFit)->Arg(8)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OlsFit)
+    ->Args({4000, 8})
+    ->Args({4000, 16})
+    ->Args({4000, 24})
+    ->Args({7668, 26})
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -67,16 +67,57 @@ double kernel(std::span<const double> z, std::span<const double> c, double inv2s
   return std::exp(-dist2 * inv2s2);
 }
 
+/// out[k] = q . p[rows[k]]. Each sum runs in linalg::dot's order, so
+/// it is bit-identical to linalg::dot; four rows share one pass over q so
+/// four independent add chains overlap instead of one waiting on its own
+/// latency.
+void dot_rows(std::span<const double> q, const std::vector<std::vector<double>>& p,
+              std::span<const std::size_t> rows, std::span<double> out) {
+  std::size_t k = 0;
+  for (; k + 4 <= rows.size(); k += 4) {
+    const double* p0 = p[rows[k]].data();
+    const double* p1 = p[rows[k + 1]].data();
+    const double* p2 = p[rows[k + 2]].data();
+    const double* p3 = p[rows[k + 3]].data();
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t r = 0; r < q.size(); ++r) {
+      a0 += q[r] * p0[r];
+      a1 += q[r] * p1[r];
+      a2 += q[r] * p2[r];
+      a3 += q[r] * p3[r];
+    }
+    out[k] = a0;
+    out[k + 1] = a1;
+    out[k + 2] = a2;
+    out[k + 3] = a3;
+  }
+  for (; k < rows.size(); ++k) out[k] = linalg::dot(q, p[rows[k]]);
+}
+
+/// A candidate whose deflated energy has fallen below this fraction of its
+/// initial energy is collinear with the picks. Relative, because the
+/// incremental downdate pp -= d^2/qq cancels to rounding noise on the
+/// candidate's own scale (about picks x eps) rather than to zero.
+constexpr double kCollinearRel = 1e-12;
+
 }  // namespace
 
 OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
                  const RbfFitOptions& opt)
-    : scaler_(Scaler::fit(x)), y_(y.begin(), y.end()), sigma_(opt.sigma), ridge_(opt.ridge) {
+    : sigma_(opt.sigma), ridge_(opt.ridge) {
   const std::size_t n = x.rows();
   if (n == 0 || y.size() != n) throw std::invalid_argument("OlsPath: bad dataset");
   if (opt.max_basis < 1) throw std::invalid_argument("OlsPath: max_basis must be >= 1");
+  if (opt.max_candidates < 1)
+    throw std::invalid_argument("OlsPath: max_candidates must be >= 1");
+  if (!std::isfinite(opt.sigma) || opt.sigma <= 0.0)
+    throw std::invalid_argument("OlsPath: sigma must be finite and positive");
+  if (!std::isfinite(opt.ridge) || opt.ridge < 0.0)
+    throw std::invalid_argument("OlsPath: ridge must be finite and non-negative");
 
-  z_ = scaler_.transform(x);
+  scaler_ = Scaler::fit(x);
+  const linalg::Matrix z = scaler_.transform(x);
+  const std::size_t d = z.cols();
   const double inv2s2 = 1.0 / (2.0 * sigma_ * sigma_);
 
   // Candidate centers: subsample training rows deterministically.
@@ -95,92 +136,122 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
   }
   const std::size_t nc = cand.size();
 
-  // Candidate design columns phi_c (n x nc), plus the residual targets.
-  // OLS with incremental Gram-Schmidt: after a column is selected, all
-  // remaining candidates and the target are deflated by it; the error
-  // reduction ratio of a candidate is then (p.y)^2 / (p.p * y.y).
-  std::vector<std::vector<double>> p(nc, std::vector<double>(n));
-  for (std::size_t c = 0; c < nc; ++c) {
-    const auto center = z_.row(cand[c]);
-    for (std::size_t r = 0; r < n; ++r) p[c][r] = kernel(z_.row(r), center, inv2s2);
-  }
+  // Target with its mean deflated (the bias regressor is always in the model).
+  std::vector<double> y0(y.begin(), y.end());
+  ymean_ = std::accumulate(y0.begin(), y0.end(), 0.0) / static_cast<double>(n);
+  for (auto& v : y0) v -= ymean_;
+  const double y_energy = std::max(linalg::dot(y0, y0), 1e-30);
 
-  std::vector<double> yres(y.begin(), y.end());
-  // Deflate the mean (the bias regressor is always in the model).
-  const double ymean =
-      std::accumulate(yres.begin(), yres.end(), 0.0) / static_cast<double>(n);
-  for (auto& v : yres) v -= ymean;
-  for (std::size_t c = 0; c < nc; ++c) {
-    const double m =
-        std::accumulate(p[c].begin(), p[c].end(), 0.0) / static_cast<double>(n);
-    for (auto& v : p[c]) v -= m;
-  }
-
-  const double y_energy = std::max(linalg::dot(yres, yres), 1e-30);
-  std::vector<bool> used(nc, false);
-
-  const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
-  for (int step = 0; step < n_select; ++step) {
-    double best_err = 0.0;
-    std::size_t best_c = nc;
+  {
+    // OLS with incremental bookkeeping (Chen, Cowan & Grant 1991). p[c]
+    // is candidate column phi_c with its mean deflated; it is never
+    // deflated by the picks. pp[c] and py[c] track the energy of the
+    // deflated column and its projection on the target, and the error
+    // reduction ratio of a candidate is py^2 / (pp * y.y). A pick q is
+    // orthogonal to every earlier pick, so one dot d = q.phi_c per
+    // remaining candidate downdates both.
+    // One allocation per candidate, not one nc x n block: freeing a block
+    // that size (24.5 MB on a driver record) raises glibc's dynamic mmap
+    // threshold, later sweep buffers then stay on the heap, and the peak
+    // RSS of a scan-heavy sweep grows by a fifth.
+    std::vector<std::vector<double>> p(nc, std::vector<double>(n));
+    std::vector<double> pp(nc), pp0(nc), py(nc);
     for (std::size_t c = 0; c < nc; ++c) {
-      if (used[c]) continue;
-      const double pp = linalg::dot(p[c], p[c]);
-      if (pp < 1e-20) continue;  // deflated to nothing: collinear with picks
-      const double py = linalg::dot(p[c], yres);
-      const double err = py * py / (pp * y_energy);
-      if (err > best_err) {
-        best_err = err;
-        best_c = c;
+      auto& pc = p[c];
+      const auto center = z.row(cand[c]);
+      for (std::size_t r = 0; r < n; ++r) pc[r] = kernel(z.row(r), center, inv2s2);
+      const double m = std::accumulate(pc.begin(), pc.end(), 0.0) / static_cast<double>(n);
+      for (auto& v : pc) v -= m;
+      pp[c] = pp0[c] = linalg::dot(pc, pc);
+      py[c] = linalg::dot(pc, y0);
+    }
+
+    std::vector<std::size_t> rest(nc);  // unpicked candidates, ascending
+    std::iota(rest.begin(), rest.end(), 0);
+    std::vector<double> dots(nc);
+    std::vector<std::size_t> picks;  // slots of the orthogonalised picks
+    std::vector<double> picks_qq;    // their energies
+    const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
+    for (int step = 0; step < n_select; ++step) {
+      double best_err = 0.0;
+      std::size_t best_c = nc;
+      for (const std::size_t c : rest) {
+        if (pp[c] <= kCollinearRel * pp0[c]) continue;
+        const double err = py[c] * py[c] / (pp[c] * y_energy);
+        if (err > best_err) {
+          best_err = err;
+          best_c = c;
+        }
+      }
+      if (best_c == nc || best_err < opt.min_err_reduction) break;
+
+      rest.erase(std::find(rest.begin(), rest.end(), best_c));
+      order_.push_back(cand[best_c]);
+
+      // Orthogonalise the pick against the earlier ones, in the slot its
+      // raw column no longer needs: modified Gram-Schmidt, run twice,
+      // because one pass loses orthogonality on a near-collinear pick and
+      // every later downdate inherits the loss.
+      const std::span<double> q = p[best_c];
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < picks.size(); ++k) {
+          const auto& qk = p[picks[k]];
+          linalg::axpy(-linalg::dot(qk, q) / picks_qq[k], qk, q);
+        }
+      }
+      const double qq = linalg::dot(q, q);
+      const double qy = linalg::dot(q, y0);
+      picks.push_back(best_c);
+      picks_qq.push_back(qq);
+
+      dot_rows(q, p, rest, dots);
+      for (std::size_t k = 0; k < rest.size(); ++k) {
+        pp[rest[k]] -= dots[k] * dots[k] / qq;
+        py[rest[k]] -= dots[k] * qy / qq;
       }
     }
-    if (best_c == nc || best_err < opt.min_err_reduction) break;
+  }
 
-    used[best_c] = true;
-    order_.push_back(cand[best_c]);
-
-    // Deflate remaining candidates and the target by the chosen column.
-    const double qq = linalg::dot(p[best_c], p[best_c]);
-    const std::vector<double> q = p[best_c];
-    const double qy = linalg::dot(q, yres) / qq;
-    for (std::size_t r = 0; r < n; ++r) yres[r] -= qy * q[r];
-    for (std::size_t c = 0; c < nc; ++c) {
-      if (used[c]) continue;
-      const double qc = linalg::dot(q, p[c]) / qq;
-      for (std::size_t r = 0; r < n; ++r) p[c][r] -= qc * q[r];
-    }
+  // Normal equations of the whole path, once: A = [1, selected raw
+  // columns], one column per row of `a`. Each entry accumulates over the
+  // samples in the order linalg::solve_ridge uses, so every prefix solve
+  // in model() is bit-identical to solve_ridge on that prefix.
+  const std::size_t m = order_.size();
+  centers_ = linalg::Matrix(m, d);
+  linalg::Matrix a(m + 1, n, 1.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto center = z.row(order_[j]);
+    std::copy(center.begin(), center.end(), centers_.row(j).begin());
+    const auto aj = a.row(j + 1);
+    for (std::size_t r = 0; r < n; ++r) aj[r] = kernel(z.row(r), center, inv2s2);
+  }
+  gram_ = linalg::Matrix(m + 1, m + 1);
+  aty_.resize(m + 1);
+  for (std::size_t i = 0; i <= m; ++i) {
+    for (std::size_t j = 0; j <= i; ++j)
+      gram_(i, j) = gram_(j, i) = linalg::dot(a.row(i), a.row(j));
+    aty_[i] = linalg::dot(a.row(i), y);
   }
 }
 
 RbfModel OlsPath::model(std::size_t n_basis) const {
-  const std::size_t n = z_.rows();
-  const std::size_t d = z_.cols();
+  const std::size_t d = scaler_.dim();
   const std::size_t m = std::min(n_basis, order_.size());
-  const double inv2s2 = 1.0 / (2.0 * sigma_ * sigma_);
+  if (m == 0) return RbfModel(scaler_, linalg::Matrix(0, d), {}, ymean_, sigma_);
 
-  if (m == 0) {
-    const double ymean =
-        std::accumulate(y_.begin(), y_.end(), 0.0) / static_cast<double>(n);
-    return RbfModel(scaler_, linalg::Matrix(0, d), {}, ymean, sigma_);
+  // Ridge weights on [1, first m columns]: the leading block of the Gram
+  // matrix plus the ridge.
+  linalg::Matrix ata(m + 1, m + 1);
+  for (std::size_t i = 0; i <= m; ++i) {
+    for (std::size_t j = 0; j <= m; ++j) ata(i, j) = gram_(i, j);
+    ata(i, i) += ridge_;
   }
-
-  // Weights: ridge least squares on the selected raw columns + bias.
-  linalg::Matrix a(n, m + 1);
-  for (std::size_t r = 0; r < n; ++r) a(r, 0) = 1.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto center = z_.row(order_[j]);
-    for (std::size_t r = 0; r < n; ++r) a(r, j + 1) = kernel(z_.row(r), center, inv2s2);
-  }
-  const auto w = linalg::solve_ridge(a, y_, ridge_);
+  const auto w = linalg::Cholesky(ata).solve(std::span(aty_).first(m + 1));
 
   linalg::Matrix centers(m, d);
-  std::vector<double> weights(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto c = z_.row(order_[j]);
-    for (std::size_t k = 0; k < d; ++k) centers(j, k) = c[k];
-    weights[j] = w[j + 1];
-  }
-  return RbfModel(scaler_, std::move(centers), std::move(weights), w[0], sigma_);
+  std::copy_n(centers_.data(), m * d, centers.data());
+  return RbfModel(scaler_, std::move(centers),
+                  std::vector<double>(w.begin() + 1, w.end()), w[0], sigma_);
 }
 
 RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,

@@ -61,25 +61,34 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 
 /// The OLS greedy selection is nested: the first j selected centers of a
 /// larger fit are exactly the j-basis fit. OlsPath captures one selection
-/// run so models of several sizes can be re-solved cheaply (weights are a
-/// small ridge solve per prefix) — used for free-run-scored model-order
-/// selection by the macromodel estimators.
+/// run so models of several sizes can be re-solved cheaply: the Gram
+/// matrix of [1, selected columns] is built once, and each prefix model is
+/// a small ridge solve on its leading block — used for free-run-scored
+/// model-order selection by the macromodel estimators.
 class OlsPath {
  public:
+  /// Throws std::invalid_argument on an empty or mismatched dataset, and
+  /// on max_basis < 1, max_candidates < 1, a non-finite or non-positive
+  /// sigma, or a negative or non-finite ridge — before any kernel work.
   OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt);
 
   /// Model using the first `n_basis` selected centers (clipped to the
-  /// number actually selected).
+  /// number actually selected). Bit-identical to linalg::solve_ridge on
+  /// the n x (n_basis + 1) design matrix [1, phi_1 .. phi_n_basis].
   RbfModel model(std::size_t n_basis) const;
 
   std::size_t selected() const { return order_.size(); }
+  /// Selected training-row indices, in pick order.
+  const std::vector<std::size_t>& order() const { return order_; }
   double sigma() const { return sigma_; }
 
  private:
   Scaler scaler_;
-  linalg::Matrix z_;  // standardized training rows
-  std::vector<double> y_;
+  linalg::Matrix centers_;          // selected centers (scaled), in pick order
   std::vector<std::size_t> order_;  // selected row indices, in pick order
+  linalg::Matrix gram_;             // A^T A of A = [1, selected raw columns]
+  std::vector<double> aty_;         // A^T y
+  double ymean_ = 0.0;
   double sigma_;
   double ridge_;
 };

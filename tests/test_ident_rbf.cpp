@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "ident/rbf.hpp"
+#include "linalg/decomp.hpp"
 #include "signal/sources.hpp"
 
 using namespace emc::ident;
@@ -17,6 +21,120 @@ la::Matrix column(const std::vector<double>& v) {
   la::Matrix m(v.size(), 1);
   for (std::size_t r = 0; r < v.size(); ++r) m(r, 0) = v[r];
   return m;
+}
+
+/// Seeded synthetic NARX dataset shaped like a driver record: a saturating
+/// second-order system under a multilevel staircase with short ramps,
+/// orders (nv, ni) = (2, 2), so 5 regressors per row. Without dither the
+/// system settles on every level, so each hold repeats nearly the same
+/// row; a uniform input dither of the given amplitude keeps rows apart.
+Dataset synthetic_narx(std::uint64_t seed, std::size_t len, double dither) {
+  emc::sig::Lcg rng(seed);
+  std::vector<double> v(len), i(len, 0.0);
+  double level = 0.0, target = 0.0;
+  for (std::size_t k = 0; k < len; ++k) {
+    if (k % 30 == 0) target = 4.0 * rng.uniform() - 2.0;
+    level += std::clamp(target - level, -0.5, 0.5);
+    v[k] = level + dither * (rng.uniform() - 0.5);
+    if (k >= 2)
+      i[k] = 0.6 * i[k - 1] - 0.1 * i[k - 2] + 0.4 * std::tanh(2.0 * v[k]) -
+             0.15 * v[k - 1] + 0.05 * v[k] * i[k - 1];
+  }
+  return build_narx_dataset(emc::sig::Waveform(0.0, 1.0, v), emc::sig::Waveform(0.0, 1.0, i),
+                            NarxOrders{2, 2});
+}
+
+/// Gaussian kernel column of one center over the scaled rows, spelled as
+/// OlsPath spells it.
+std::vector<double> kernel_column(const la::Matrix& z, std::span<const double> center,
+                                  double sigma) {
+  const double inv2s2 = 1.0 / (2.0 * sigma * sigma);
+  std::vector<double> col(z.rows());
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    double dist2 = 0.0;
+    for (std::size_t k = 0; k < z.cols(); ++k) {
+      const double d = z(r, k) - center[k];
+      dist2 += d * d;
+    }
+    col[r] = std::exp(-dist2 * inv2s2);
+  }
+  return col;
+}
+
+/// One pick of the reference selection, with how well it was decided.
+struct RefPick {
+  std::size_t row;  ///< selected training row
+  double rel;       ///< deflated energy of the pick / its initial energy
+  double gap;       ///< (err - runner-up err) / err
+};
+
+/// Reference OLS selection with explicit deflation: after each pick every
+/// remaining candidate and the target are deflated by it, and each step
+/// recomputes p.p and p.y for every candidate.
+std::vector<RefPick> reference_picks(const la::Matrix& x, std::span<const double> y,
+                                     const RbfFitOptions& opt) {
+  const std::size_t n = x.rows();
+  const la::Matrix z = Scaler::fit(x).transform(x);
+
+  std::vector<std::size_t> cand;
+  if (n <= static_cast<std::size_t>(opt.max_candidates)) {
+    cand.resize(n);
+    std::iota(cand.begin(), cand.end(), 0);
+  } else {
+    emc::sig::Lcg rng(opt.seed);
+    const double stride = static_cast<double>(n) / opt.max_candidates;
+    for (int j = 0; j < opt.max_candidates; ++j) {
+      const double base = stride * static_cast<double>(j);
+      const auto idx = static_cast<std::size_t>(base + rng.uniform() * stride);
+      cand.push_back(std::min(idx, n - 1));
+    }
+  }
+  const std::size_t nc = cand.size();
+
+  std::vector<std::vector<double>> p(nc);
+  std::vector<double> pp0(nc);
+  for (std::size_t c = 0; c < nc; ++c) {
+    p[c] = kernel_column(z, z.row(cand[c]), opt.sigma);
+    const double m = std::accumulate(p[c].begin(), p[c].end(), 0.0) / static_cast<double>(n);
+    for (auto& v : p[c]) v -= m;
+    pp0[c] = la::dot(p[c], p[c]);
+  }
+  std::vector<double> yres(y.begin(), y.end());
+  const double ymean = std::accumulate(yres.begin(), yres.end(), 0.0) / static_cast<double>(n);
+  for (auto& v : yres) v -= ymean;
+  const double y_energy = std::max(la::dot(yres, yres), 1e-30);
+
+  std::vector<RefPick> picks;
+  std::vector<bool> used(nc, false);
+  for (int step = 0; step < std::min<int>(opt.max_basis, static_cast<int>(nc)); ++step) {
+    double best_err = 0.0, second_err = 0.0;
+    std::size_t best_c = nc;
+    for (std::size_t c = 0; c < nc; ++c) {
+      if (used[c]) continue;
+      const double pp = la::dot(p[c], p[c]);
+      if (pp < 1e-20) continue;
+      const double py = la::dot(p[c], yres);
+      const double err = py * py / (pp * y_energy);
+      if (err > best_err) {
+        second_err = best_err;
+        best_err = err;
+        best_c = c;
+      } else {
+        second_err = std::max(second_err, err);
+      }
+    }
+    if (best_c == nc || best_err < opt.min_err_reduction) break;
+    used[best_c] = true;
+    picks.push_back({cand[best_c], la::dot(p[best_c], p[best_c]) / pp0[best_c],
+                     (best_err - second_err) / best_err});
+
+    const std::vector<double> q = p[best_c];
+    const double qq = la::dot(q, q);
+    la::axpy(-la::dot(q, yres) / qq, q, yres);
+    for (std::size_t c = 0; c < nc; ++c)
+      if (!used[c]) la::axpy(-la::dot(q, p[c]) / qq, q, p[c]);
+  }
+  return picks;
 }
 
 }  // namespace
@@ -197,6 +315,151 @@ TEST(RbfFit, InputValidation) {
   bad.max_basis = 0;
   std::vector<double> y3(3);
   EXPECT_THROW(fit_rbf_ols(x2, y3, bad), std::invalid_argument);
+
+  // Bad options are rejected up front, not turned into a constant model.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int mc : {0, -1, -400}) {
+    RbfFitOptions o;
+    o.max_candidates = mc;
+    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "max_candidates " << mc;
+  }
+  for (double s : {0.0, -1.5, nan, inf}) {
+    RbfFitOptions o;
+    o.sigma = s;
+    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "sigma " << s;
+    EXPECT_THROW(OlsPath(x2, y3, o), std::invalid_argument) << "sigma " << s;
+  }
+  for (double r : {-1e-8, nan, inf}) {
+    RbfFitOptions o;
+    o.ridge = r;
+    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "ridge " << r;
+  }
+  RbfFitOptions zero_ridge;
+  zero_ridge.ridge = 0.0;
+  EXPECT_NO_THROW(fit_rbf_ols(x2, y3, zero_ridge));
+}
+
+TEST(OlsPath, SelectionMatchesExplicitDeflationReference) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const Dataset ds = synthetic_narx(seed, 1500, 0.2);
+    for (double sigma : {1.0, 1.5, 2.2, 3.2}) {
+      RbfFitOptions opt;
+      opt.max_basis = 20;
+      opt.max_candidates = 150;
+      opt.sigma = sigma;
+      opt.seed = seed;
+      const OlsPath path(ds.x, ds.y, opt);
+      std::vector<std::size_t> ref;
+      for (const RefPick& pk : reference_picks(ds.x, ds.y, opt)) ref.push_back(pk.row);
+      EXPECT_EQ(ref.size(), 20u);
+      EXPECT_EQ(path.order(), ref) << "seed " << seed << " sigma " << sigma;
+    }
+  }
+}
+
+TEST(OlsPath, SelectionMatchesReferenceUntilItIsUndecidable) {
+  // Settling holds repeat nearly the same row, so the reference ends up
+  // choosing between near-duplicate candidates. Both selections must agree
+  // until the reference picks a candidate below the 1e-12 collinearity
+  // floor (rounding noise for the incremental downdate) or one within
+  // 1e-6 of its runner-up.
+  std::size_t agreed = 0, total = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const Dataset ds = synthetic_narx(seed, 1500, 0.0);
+    for (double sigma : {1.0, 1.5, 2.2, 3.2}) {
+      RbfFitOptions opt;
+      opt.max_basis = 20;
+      opt.max_candidates = 150;
+      opt.sigma = sigma;
+      opt.seed = seed;
+      const OlsPath path(ds.x, ds.y, opt);
+      const auto ref = reference_picks(ds.x, ds.y, opt);
+      for (std::size_t k = 0; k < ref.size(); ++k) {
+        if (ref[k].rel < 1e-12 || ref[k].gap < 1e-6) break;
+        ASSERT_LT(k, path.selected());
+        EXPECT_EQ(path.order()[k], ref[k].row) << "seed " << seed << " sigma " << sigma;
+        ++agreed;
+      }
+      total += ref.size();
+    }
+  }
+  // Not vacuous: a good share of the picks is decidable and compared.
+  EXPECT_GT(agreed, total / 3);
+}
+
+TEST(OlsPath, EveryPrefixIsBitIdenticalToDirectRidgeSolve) {
+  const Dataset ds = synthetic_narx(4, 1200, 0.2);
+  RbfFitOptions opt;
+  opt.max_basis = 14;
+  opt.max_candidates = 150;
+  opt.sigma = 1.5;
+  const OlsPath path(ds.x, ds.y, opt);
+  ASSERT_EQ(path.selected(), 14u);
+
+  const std::size_t n = ds.x.rows();
+  const la::Matrix z = Scaler::fit(ds.x).transform(ds.x);
+  for (std::size_t k = 0; k <= path.selected(); ++k) {
+    la::Matrix a(n, k + 1);
+    for (std::size_t r = 0; r < n; ++r) a(r, 0) = 1.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto col = kernel_column(z, z.row(path.order()[j]), opt.sigma);
+      for (std::size_t r = 0; r < n; ++r) a(r, j + 1) = col[r];
+    }
+    const auto w = la::solve_ridge(a, ds.y, opt.ridge);
+    const RbfModel m = path.model(k);
+    ASSERT_EQ(m.num_basis(), k);
+    if (k == 0) {
+      // No centers: the model is the target mean.
+      EXPECT_EQ(m.bias(), std::accumulate(ds.y.begin(), ds.y.end(), 0.0) /
+                              static_cast<double>(n));
+      continue;
+    }
+    EXPECT_EQ(m.bias(), w[0]) << "prefix " << k;
+    for (std::size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(m.weights()[j], w[j + 1]) << "prefix " << k << " weight " << j;
+      const auto c = m.centers().row(j);
+      const auto zr = z.row(path.order()[j]);
+      EXPECT_TRUE(std::equal(c.begin(), c.end(), zr.begin())) << "prefix " << k;
+    }
+  }
+  // Asking for more centers than were selected clips to the full path.
+  EXPECT_EQ(path.model(100).num_basis(), path.selected());
+}
+
+TEST(OlsPath, DuplicatedCandidatesAreSkippedAsCollinear) {
+  // Every row appears three times and every row is a candidate. Once a
+  // row is picked, its copies deflate to rounding noise: the relative
+  // collinearity test must skip them rather than pick a duplicate. The
+  // path runs until no candidate is left above the floor (no error
+  // reduction stop), so the copies are offered at every step.
+  const Dataset base = synthetic_narx(9, 120, 0.0);
+  const std::size_t nb = base.x.rows();
+  la::Matrix x(3 * nb, base.x.cols());
+  std::vector<double> y(3 * nb);
+  for (std::size_t r = 0; r < 3 * nb; ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) x(r, c) = base.x(r % nb, c);
+    y[r] = base.y[r % nb];
+  }
+  for (double sigma : {1.0, 3.2}) {
+    RbfFitOptions opt;
+    opt.max_basis = 150;
+    opt.min_err_reduction = 0.0;
+    opt.max_candidates = 400;
+    opt.sigma = sigma;
+    const OlsPath path(x, y, opt);
+    ASSERT_GE(path.selected(), 5u);
+    for (std::size_t a = 0; a < path.selected(); ++a)
+      for (std::size_t b = a + 1; b < path.selected(); ++b) {
+        const auto ra = x.row(path.order()[a]);
+        const auto rb = x.row(path.order()[b]);
+        EXPECT_FALSE(std::equal(ra.begin(), ra.end(), rb.begin()))
+            << "sigma " << sigma << ": picks " << a << " and " << b << " are one row";
+      }
+    const RbfModel m = path.model(path.selected());
+    EXPECT_TRUE(std::isfinite(m.bias()));
+    for (double w : m.weights()) EXPECT_TRUE(std::isfinite(w)) << "sigma " << sigma;
+  }
 }
 
 TEST(RbfModel, ConstructorValidation) {
