@@ -10,6 +10,11 @@
 // CISPR-style piecewise-log board-level mask and a swept EMI-receiver
 // measurement is timed. Results land in BENCH_emc.json with the shared
 // bench schema (see json_out.hpp).
+//
+// Exit gate: strong-harmonic error (< 2 GHz, within 40 dB of the carrier)
+// below kStrongErrGateDb — measured 2.22 dB in --smoke (3 periods) and
+// 1.96 dB in the full run (7 periods) — and the zoom demodulation within
+// 0.01 dB of the reference path.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +32,9 @@
 namespace {
 
 using emc::bench::seconds_since;
+
+/// Bound on the strong-harmonic spectral error [dB].
+constexpr double kStrongErrGateDb = 2.5;
 
 /// Steady-state slice: drop the first pattern period (startup transient),
 /// keep an exact number of whole periods.
@@ -218,5 +226,5 @@ int main(int argc, char** argv) {
   // must hold up as a few dB where the emission energy actually is) and on
   // the zoom demodulation agreeing with the reference path on a real
   // emission waveform.
-  return max_abs_err_strong < 6.0 && zoom_delta < 0.01 && base_ok ? 0 : 1;
+  return max_abs_err_strong < kStrongErrGateDb && zoom_delta < 0.01 && base_ok ? 0 : 1;
 }

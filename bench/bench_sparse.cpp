@@ -1,6 +1,8 @@
 // Sparse-solver bench + gate: dense vs sparse MNA on an N-conductor
 // coupled-bus harness (crossover curve over problem size, waveform
-// agreement, speedup at >= 200 unknowns). Results land in
+// agreement, speedup at >= 200 unknowns), and the port-reduced transient
+// (cache_lu) against the generic refactoring path on the 204- and
+// 1048-unknown harnesses and the Fig. 3 emission corner. Results land in
 // BENCH_sparse.json.
 //
 //   bench_sparse [--smoke]
@@ -9,11 +11,14 @@
 //   * dense/sparse max waveform delta <= 1e-9 at every size
 //   * full mode only: sparse >= 3x faster than dense at >= 200 unknowns
 //     (wall clock is recorded in smoke mode but not gated)
+//   * port-reduced vs reference: max waveform delta <= 1e-9 and equal
+//     Newton iteration counts on every case (wall times recorded)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,8 @@
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tline.hpp"
+#include "core/driver_device.hpp"
+#include "experiments.hpp"
 #include "json_out.hpp"
 #include "signal/sample_sink.hpp"
 
@@ -99,22 +106,43 @@ struct BusRun {
   double wall_s = 0.0;
   long newton_iters = 0;
   int n_unknowns = 0;
+  std::size_t ports = 0;  ///< port-reduced path's port count (0: none or bypassed)
 };
+
+/// One streamed transient of `c` probing `probes`, fresh workspace.
+BusRun run_circuit(ckt::Circuit& c, const std::vector<int>& probes,
+                   const ckt::TransientOptions& opt) {
+  BusRun out;
+  out.n_unknowns = c.finalize();
+  ckt::NewtonWorkspace ws;
+  sig::RecordingSink rec;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto stats = ckt::run_transient_streamed(c, opt, ws, probes, rec);
+  out.wall_s = seconds_since(t0);
+  out.newton_iters = stats.total_newton_iters;
+  out.record = std::move(rec).take_data();
+  out.ports = ws.ports.ports.size();
+  return out;
+}
 
 BusRun run_bus(const BusSpec& spec, ckt::SolverKind solver) {
   ckt::Circuit c;
   const auto far = build_bus(c, spec);
-  BusRun out;
-  out.n_unknowns = c.finalize();
+  return run_circuit(c, far, bus_options(spec, solver));
+}
 
-  ckt::NewtonWorkspace ws;
-  sig::RecordingSink rec;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto stats = ckt::run_transient_streamed(c, bus_options(spec, solver), ws, far, rec);
-  out.wall_s = seconds_since(t0);
-  out.newton_iters = stats.total_newton_iters;
-  out.record = std::move(rec).take_data();
-  return out;
+/// The sweep's emission corner on the Fig. 3 line: the active and the
+/// quiet PW-RBF driver at the near ends, both far ends loaded with 1 pF.
+/// Returns the probes: both far ends.
+std::vector<int> build_fig3_corner(ckt::Circuit& c, const core::PwRbfDriverModel& model,
+                                   const std::string& bits) {
+  const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node();
+  add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, exp::mcm_fig3_params(), model.ts);
+  c.add<ckt::Capacitor>(b1, c.ground(), 1e-12);
+  c.add<ckt::Capacitor>(b2, c.ground(), 1e-12);
+  c.add<core::DriverDevice>(a1, model, bits, 1e-9);
+  c.add<core::DriverDevice>(a2, model, std::string(bits.size(), '0'), 1e-9);
+  return {b1, b2};
 }
 
 double max_delta(const std::vector<double>& a, const std::vector<double>& b) {
@@ -207,6 +235,70 @@ int main(int argc, char** argv) {
     std::printf("GATE FAILED: sparse speedup %.2fx < 3x at n = %d\n", big_speedup, big_n);
     ok = false;
   }
+
+  // ---------------------------------------------------------------- B ----
+  // Port-reduced transient vs the generic reference: the same circuit with
+  // cache_lu on (linear part factored once, Newton on the k port
+  // unknowns) and off (full refactor every iteration).
+  std::printf("\n%-8s %-9s %-6s %-10s %-12s %-12s %-9s %s\n", "case", "unknowns", "ports",
+              "iters", "reduced [s]", "full [s]", "speedup", "max |dv|");
+  auto reduced_rows = bench::Json::array();
+  const auto md3 = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
+  const std::string bits = smoke ? "0110100111010010" : "0110100111010010011101001100";
+  struct ReducedCase {
+    std::string name;
+    std::function<std::vector<int>(ckt::Circuit&)> build;
+    ckt::TransientOptions opt;
+  };
+  std::vector<ReducedCase> cases;
+  for (const BusSpec* spec : {&sizes[1], &sizes[3]})
+    cases.push_back({"", [spec](ckt::Circuit& c) { return build_bus(c, *spec); },
+                     bus_options(*spec, ckt::SolverKind::kAuto)});
+  {
+    ckt::TransientOptions opt;
+    opt.dt = md3.ts;
+    opt.t_stop = 2e-9 * static_cast<double>(bits.size());  // two pattern periods
+    cases.push_back({"fig3", [&](ckt::Circuit& c) {
+                       return build_fig3_corner(c, md3, bits + bits);
+                     },
+                     opt});
+  }
+  for (auto& rc : cases) {
+    BusRun red, ref;
+    for (bool cache_lu : {true, false}) {
+      ckt::Circuit c;
+      const auto probes = rc.build(c);
+      rc.opt.cache_lu = cache_lu;
+      (cache_lu ? red : ref) = run_circuit(c, probes, rc.opt);
+    }
+    if (rc.name.empty()) rc.name = "n" + std::to_string(red.n_unknowns);
+    const double dv = max_delta(red.record, ref.record);
+    const bool iters_equal = red.newton_iters == ref.newton_iters;
+    const double speedup = red.wall_s > 0.0 ? ref.wall_s / red.wall_s : 0.0;
+    std::printf("%-8s %-9d %-6zu %-10ld %-12.4f %-12.4f %-9.2f %.3g\n", rc.name.c_str(),
+                red.n_unknowns, red.ports, red.newton_iters, red.wall_s, ref.wall_s, speedup, dv);
+    if (!iters_equal || !(dv <= 1e-9)) {
+      std::printf("GATE FAILED: port-reduced/reference disagreement on %s "
+                  "(max delta %.3g, iters %ld vs %ld)\n",
+                  rc.name.c_str(), dv, red.newton_iters, ref.newton_iters);
+      ok = false;
+    }
+    auto row = bench::Json::object();
+    row.set("name", bench::Json::string(rc.name));
+    row.set("n_unknowns", bench::Json::integer(red.n_unknowns));
+    row.set("ports", bench::Json::integer(static_cast<long>(red.ports)));
+    row.set("newton_iters", bench::Json::integer(red.newton_iters));
+    row.set("reference_newton_iters", bench::Json::integer(ref.newton_iters));
+    row.set("iters_equal", bench::Json::boolean(iters_equal));
+    row.set("port_reduced_max_dv", bench::Json::number(dv));
+    row.set("cache_lu_on_wall_s", bench::Json::number(red.wall_s));
+    row.set("cache_lu_off_wall_s", bench::Json::number(ref.wall_s));
+    row.set("speedup", bench::Json::number(speedup));
+    reduced_rows.push(std::move(row));
+    doc.at("scenarios")
+        .push(bench::scenario_row("port_reduced_" + rc.name, red.wall_s, red.newton_iters));
+  }
+  doc.set("port_reduced", std::move(reduced_rows));
 
   doc.set("gates_passed", bench::Json::boolean(ok));
   if (doc.write_file("BENCH_sparse.json")) std::printf("wrote BENCH_sparse.json\n");

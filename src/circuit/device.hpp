@@ -87,11 +87,15 @@ class Device {
   /// True if the stamp depends on the candidate solution x.
   ///
   /// Returning false is a stronger promise than x-independence: the
-  /// engine's cached-LU fast path assumes a linear device's *matrix*
-  /// entries depend only on (dt, dc) — time, history, and the source
-  /// scale may enter the right-hand side only. A device whose
-  /// conductance varies with t or committed history must return true
-  /// even if its stamp ignores x.
+  /// engine's port-reduced path (TransientOptions::cache_lu) factors a
+  /// linear device's *matrix* entries once per (dt, dc) configuration,
+  /// right after the first start_step of the run, and from then on
+  /// re-stamps only the right-hand side. So once that first start_step
+  /// has run, the matrix must stay bit-identical for every later step;
+  /// time, history and the source scale may enter the right-hand side
+  /// only, and the right-hand side must not read the candidate x. A
+  /// device whose conductance varies with t or committed history must
+  /// return true even if its stamp ignores x.
   virtual bool nonlinear() const { return false; }
 
   /// Called once per time step before the Newton loop; history-dependent

@@ -23,16 +23,19 @@ void NewtonWorkspace::resize(std::size_t n) {
   // entirely (patterns, symbolic analyses, value storage).
   sp_tr = SparseSystem{};
   sp_dc = SparseSystem{};
+  ports = PortSystem{};
   invalidate();
 }
 
 void NewtonWorkspace::invalidate() {
-  lu_cached = false;
   for (SparseSystem* s : {&sp_tr, &sp_dc}) {
-    s->num_cached = false;
     s->pattern_ready = false;
     s->use_sparse = -1;
   }
+  ports.ports.clear();
+  ports.ready = false;
+  ports.bypass = false;
+  ports.used = false;
 }
 
 TransientResult::TransientResult(double t0, double dt, std::size_t n_unknowns)
@@ -92,12 +95,26 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   static const obs::Counter c_weak("ckt.newton.weak_steps");
   static const obs::Counter c_sparse_runs("ckt.transient.sparse_runs");
   static const obs::Counter c_dense_runs("ckt.transient.dense_runs");
+  static const obs::Counter c_reduced_runs("ckt.transient.port_reduced_runs");
   static const obs::Histogram h_step_iters("ckt.newton.iters_per_step");
   obs::Span span("transient");
 
+  // Reject bad options before any stamping: a NaN time would otherwise
+  // pass the comparisons below and set the step count through llround,
+  // and max_newton < 1 would accept every step unsolved at x_prev.
+  if (!std::isfinite(opt.t_start) || !std::isfinite(opt.t_stop) || !std::isfinite(opt.dt))
+    throw std::invalid_argument("run_transient: t_start, t_stop and dt must be finite");
   if (opt.t_stop <= opt.t_start)
     throw std::invalid_argument("run_transient: t_stop must exceed t_start");
   if (opt.dt <= 0.0) throw std::invalid_argument("run_transient: dt must be positive");
+  if (opt.max_newton < 1)
+    throw std::invalid_argument("run_transient: max_newton must be >= 1");
+  if (!std::isfinite(opt.tol) || opt.tol <= 0.0)
+    throw std::invalid_argument("run_transient: tol must be finite and positive");
+  if (!std::isfinite(opt.dx_limit) || opt.dx_limit <= 0.0)
+    throw std::invalid_argument("run_transient: dx_limit must be finite and positive");
+  if (!std::isfinite(opt.gmin) || opt.gmin < 0.0)
+    throw std::invalid_argument("run_transient: gmin must be finite and non-negative");
   if (chunk_frames == 0)
     throw std::invalid_argument("run_transient_streamed: chunk_frames must be >= 1");
 
@@ -110,8 +127,9 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
 
   for (const auto& dev : ckt.devices()) dev->reset();
 
-  // Reuse caller-owned scratch when the size already matches; a cached LU
-  // can never be trusted across circuits, so it is dropped either way.
+  // Reuse caller-owned scratch when the size already matches; cached
+  // port-reduced factors can never be trusted across circuits, so they
+  // are dropped either way.
   if (ws.g.rows() != static_cast<std::size_t>(n_unknowns))
     ws.resize(static_cast<std::size_t>(n_unknowns));
   else
@@ -238,6 +256,7 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   c_iters.add(static_cast<std::uint64_t>(stats.total_newton_iters));
   c_weak.add(static_cast<std::uint64_t>(stats.weak_steps));
   (stats.used_sparse == 1 ? c_sparse_runs : c_dense_runs).add();
+  if (ws.ports.used) c_reduced_runs.add();
   return stats;
 }
 

@@ -39,13 +39,17 @@ struct TransientOptions {
   double dx_limit = 0.5;   ///< Newton damping: max |dx| per iteration
   double gmin = 1e-12;     ///< diagonal leakage keeping the system regular
   bool dc_start = true;    ///< compute the operating point before stepping
-  /// Cache the LU factorization of a purely linear circuit: factor once
-  /// per (dt, dc, gmin) configuration and reuse the factors for every
-  /// step. Each step still re-stamps the system (the right-hand side is
-  /// time/history dependent) but replaces the O(n^3) LU with one O(n^2)
-  /// back-substitution. Disable to force the generic re-factorizing
-  /// Newton path (reference behavior for regression benches). Applies to
-  /// the sparse backend too (numeric refactor cached per configuration).
+  /// Factor the x-independent part of the system once per (dt, dc, gmin)
+  /// configuration: the port-reduced path (PortSystem). The linear
+  /// devices are factored in bordered form around the port unknowns the
+  /// nonlinear devices stamp into; each step re-stamps only their
+  /// right-hand side and pays one back-substitution, and each Newton
+  /// iteration solves a dense k x k system on the k ports. A purely
+  /// linear circuit is the k = 0 case (one exact solve per step, DC
+  /// included). Transients with more than PortSystem::kMaxPorts ports and
+  /// the DC solve of a nonlinear circuit take the generic path. Disable
+  /// to force the generic re-factorizing Newton path everywhere (the
+  /// reference behavior for regression benches). Applies to both backends.
   bool cache_lu = true;
 
   /// Linear-system backend; see SolverKind. kAuto keeps every circuit
@@ -82,10 +86,49 @@ struct SparseSystem {
   int use_sparse = -1;  ///< resolved backend for this run: -1 undecided
   linalg::SparseMatrix a;
   linalg::SparseLu lu;
+};
 
-  // Cached numeric factorization key for the linear fast path (mirrors
-  // the dense lu_* key).
-  bool num_cached = false;
+/// Port-reduced solve state (TransientOptions::cache_lu). P is the set of
+/// unknowns the nonlinear devices stamp into (row, column or rhs row); all
+/// other unknowns are interior. The linear devices' matrix is split as
+///
+///   [ A_II  A_IP ] [x_I]   [b_I]        S = A_PP - A_PI W,
+///   [ A_PI  A_PP ] [x_P] = [b_P],       W = A_II^-1 A_IP,
+///
+/// and factored once per (dt, dc, gmin): A_II, with unit diagonals on the
+/// port rows, in the backend's LU (the dense `lu` or the mode's
+/// SparseSystem), the port rows densely in `border`. Each Newton
+/// iteration then solves (S + G) x_P = c + r for the nonlinear devices'
+/// k x k stamp G, r, and sets x_I = A_II^-1 b_I - W x_P. The bordered
+/// form never inverts a port row's own diagonal, which may be gmin alone
+/// (a node touched only by nonlinear devices). An interior unknown whose
+/// A_II row or column holds nothing but gmin (a voltage source's branch
+/// at a port node) joins P for the same reason.
+struct PortSystem {
+  /// Above this many ports the transient takes the generic path. The
+  /// dense port solve costs O(k^3 + nk) per iteration, while the split
+  /// saves less as P takes over the system. Eight covers the coupled
+  /// buses here and keeps a transistor-level driver (11 of its 16
+  /// unknowns nonlinear) on the generic path.
+  static constexpr std::size_t kMaxPorts = 8;
+
+  std::vector<const Device*> linear;     ///< the circuit's linear devices
+  std::vector<const Device*> nonlinear;  ///< ... and its nonlinear ones
+  std::vector<int> ports;  ///< P, ascending 0-based unknowns
+  std::vector<int> slot;   ///< per unknown: index into ports, or -1
+  linalg::Matrix border;   ///< k x n: the linear port rows [A_PI A_PP] (+ gmin)
+  linalg::Matrix w;        ///< k x n: row j = column j of W (zero at ports)
+  linalg::Matrix schur;    ///< k x k: S
+  linalg::Matrix m;        ///< k x k: S + G of the current iterate
+  linalg::LuFactor m_lu;
+  std::vector<double> b;   ///< this step's linear rhs, n
+  std::vector<double> wb;  ///< A_II^-1 b_I, n (zero at ports)
+  std::vector<double> c;   ///< b_P - A_PI wb, k
+  std::vector<double> r;   ///< c + nonlinear rhs, then x_P, k
+
+  bool ready = false;   ///< factors valid for the key below
+  bool bypass = false;  ///< more than kMaxPorts ports: generic path this run
+  bool used = false;    ///< a transient step of this run was solved here
   double key_dt = 0.0;
   bool key_dc = false;
   double key_gmin = 0.0;
@@ -108,16 +151,16 @@ class NewtonWorkspace {
   /// including the sparse symbolic analyses (the topology changed size).
   void resize(std::size_t n);
 
-  /// Forget the cached linear-circuit factorizations (dense and sparse)
-  /// and the per-run sparse pattern/backend decisions (topology or
-  /// configuration may have changed). The sparse symbolic analyses are
-  /// kept — they revalidate themselves against the rebuilt pattern's hash.
+  /// Forget the port-reduced factorization and port set and the per-run
+  /// sparse pattern/backend decisions (topology or configuration may have
+  /// changed). The sparse symbolic analyses are kept — they revalidate
+  /// themselves against the rebuilt pattern's hash.
   void invalidate();
 
   linalg::Matrix g;           ///< MNA Jacobian scratch
   std::vector<double> rhs;    ///< right-hand side scratch
   std::vector<double> x_new;  ///< Newton candidate scratch
-  linalg::LuFactor lu;        ///< refactorizable LU storage
+  linalg::LuFactor lu;        ///< refactorizable LU storage (dense backend)
 
   /// Chunk staging for run_transient_streamed (frame-major, chunk_frames x
   /// channels). Lives in the workspace so batch drivers streaming many
@@ -125,23 +168,18 @@ class NewtonWorkspace {
   /// run. Untouched by the dense-solve paths; resize() leaves it alone.
   std::vector<double> stream_buf;
 
-  // Cached-factorization key for the linear fast path: the Jacobian of a
-  // purely linear circuit depends only on (dt, dc, gmin), never on t, x,
-  // or the source-stepping scale.
-  bool lu_cached = false;
-  double lu_dt = 0.0;
-  bool lu_dc = false;
-  double lu_gmin = 0.0;
-
   /// Sparse solve state, one per stamping mode (transient / DC).
   SparseSystem sp_tr;
   SparseSystem sp_dc;
 
+  /// Port-reduced factorization of the linear devices (cache_lu).
+  PortSystem ports;
+
   /// |dx|_inf per iteration of the most recent damped Newton solve,
   /// oldest-first and capped at kResidualHistoryCap (older entries are
   /// dropped). Failure reports copy it into SolveErrorInfo so a diverging
-  /// solve's trajectory survives the throw. The linear fast path leaves
-  /// it empty.
+  /// solve's trajectory survives the throw. A port-reduced solve with no
+  /// ports (a linear circuit) leaves it empty.
   static constexpr std::size_t kResidualHistoryCap = 12;
   std::vector<double> residual_history;
 };
@@ -152,7 +190,7 @@ struct SolveStats {
   long weak_steps = 0;  ///< steps accepted at loose tolerance (diagnostic)
 
   // Observability extensions (filled by the engine; zero-cost to carry).
-  long restamps = 0;         ///< sparse pattern-growth retries (state-dependent structure)
+  long restamps = 0;         ///< sparse pattern or port-set growth retries (state-dependent structure)
   long dc_newton_iters = 0;  ///< Newton iterations spent on the operating point
   long dc_gmin_stages = 0;   ///< gmin continuation stages attempted
   long dc_source_steps = 0;  ///< source-stepping stages attempted (0 = not needed)

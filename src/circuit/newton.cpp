@@ -73,11 +73,9 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
     s.pattern_ready = true;
     s.use_sparse = -1;
     s.a.set_pattern(&s.pattern);
-    s.num_cached = false;
   } else if (s.a.pattern() != &s.pattern) {
     // The workspace object moved since the pattern was built; rebind.
     s.a.set_pattern(&s.pattern);
-    s.num_cached = false;
   }
   if (s.use_sparse < 0) {
     const bool dense_enough =
@@ -88,6 +86,172 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
   return s.use_sparse == 1 ? &s : nullptr;
 }
 
+/// Outcome of a port-reduced build or solve. kFailed: a singular system,
+/// or no convergence within max_newton (a weak step, as on the generic
+/// path); kBypass: more than kMaxPorts ports, take the generic path.
+enum class PortResult { kOk, kFailed, kBypass };
+
+/// Add `extra` (0-based unknowns) to the port set and refresh the slot map.
+void add_ports(PortSystem& ps, std::span<const int> extra, std::size_t n) {
+  ps.ports.insert(ps.ports.end(), extra.begin(), extra.end());
+  std::sort(ps.ports.begin(), ps.ports.end());
+  ps.ports.erase(std::unique(ps.ports.begin(), ps.ports.end()), ps.ports.end());
+  ps.slot.assign(n, -1);
+  for (std::size_t j = 0; j < ps.ports.size(); ++j)
+    ps.slot[static_cast<std::size_t>(ps.ports[j])] = static_cast<int>(j);
+}
+
+/// Interior unknowns coupled to a port whose row or column of A_II holds
+/// nothing but gmin (no stamped diagonal and no stamped off-diagonal
+/// entry): the split moved all their coupling into the border. `coords`
+/// are the interior stamps; ps.border and ps.w (still A_IP transposed)
+/// hold the port couplings.
+std::vector<int> gmin_only_interior(const PortSystem& ps,
+                                    std::span<const linalg::SparseCoord> coords,
+                                    std::size_t n) {
+  std::vector<char> diag(n, 0), row_has(n, 0), col_has(n, 0);
+  for (const auto& [r, c] : coords) {
+    if (r == c) {
+      diag[static_cast<std::size_t>(r)] = 1;
+    } else {
+      row_has[static_cast<std::size_t>(r)] = 1;
+      col_has[static_cast<std::size_t>(c)] = 1;
+    }
+  }
+  const auto coupled = [&](std::size_t i) {
+    for (std::size_t j = 0; j < ps.ports.size(); ++j)
+      if (ps.border(j, i) != 0.0 || ps.w(j, i) != 0.0) return true;
+    return false;
+  };
+  std::vector<int> out;
+  for (std::size_t i = 0; i < n; ++i)
+    if (ps.slot[i] < 0 && !diag[i] && (!row_has[i] || !col_has[i]) && coupled(i))
+      out.push_back(static_cast<int>(i));
+  return out;
+}
+
+/// Factor the linear devices in bordered form around the ports (see
+/// PortSystem) for the configuration in `state`. P first grows by every
+/// unknown the nonlinear devices stamp into at `state`, then by interior
+/// unknowns left with nothing but gmin in A_II. kFailed: A_II is
+/// singular; kBypass: nothing was factored.
+PortResult build_ports(Circuit& ckt, NewtonWorkspace& ws, SparseSystem* sys,
+                      const SimState& state, double gmin, std::size_t n) {
+  PortSystem& ps = ws.ports;
+  ps.ready = false;
+  ps.linear.clear();
+  ps.nonlinear.clear();
+  for (const auto& dev : ckt.devices())
+    (dev->nonlinear() ? ps.nonlinear : ps.linear).push_back(dev.get());
+
+  add_ports(ps, {}, n);
+  {
+    ps.m = linalg::Matrix(ps.ports.size(), ps.ports.size());
+    ps.r.assign(ps.ports.size(), 0.0);
+    PortStamper discover(ps.slot, ps.m, ps.r);
+    for (const Device* dev : ps.nonlinear) dev->stamp(discover, state);
+    add_ports(ps, discover.missed(), n);
+  }
+
+  // Structure pass: the interior stamps (border and A_IP fill as a side
+  // effect), repeated until no interior unknown is left gmin-only.
+  std::vector<linalg::SparseCoord> coords;
+  for (;;) {
+    const std::size_t k = ps.ports.size();
+    if (k > PortSystem::kMaxPorts) return PortResult::kBypass;
+    ps.border = linalg::Matrix(k, n);
+    ps.w = linalg::Matrix(k, n);  // A_IP transposed until the solves below
+    PatternStamper pattern;
+    BorderedStamper split(ps.slot, pattern, ps.border, ps.w);
+    for (const Device* dev : ps.linear) dev->stamp(split, state);
+    coords = std::move(pattern).take_coords();
+    const auto orphans = gmin_only_interior(ps, coords, n);
+    if (orphans.empty()) break;
+    add_ports(ps, orphans, n);
+  }
+
+  // Value pass into the backend: the interior pattern carries the port
+  // diagonals too.
+  ps.border.fill(0.0);
+  ps.w.fill(0.0);
+  if (sys) {
+    sys->coords = std::move(coords);
+    for (int p : ps.ports) sys->coords.push_back({p, p});
+    sys->pattern = linalg::SparsePattern::build(n, sys->coords);
+    sys->a.set_pattern(&sys->pattern);
+    SparseStamper interior(sys->a, ws.rhs);
+    BorderedStamper st(ps.slot, interior, ps.border, ps.w);
+    for (const Device* dev : ps.linear) dev->stamp(st, state);
+  } else {
+    ws.g.fill(0.0);
+    DenseStamper interior(ws.g, ws.rhs);
+    BorderedStamper st(ps.slot, interior, ps.border, ps.w);
+    for (const Device* dev : ps.linear) dev->stamp(st, state);
+  }
+
+  // gmin on every diagonal; a port's row and column in the factored
+  // matrix are its unit diagonal alone, so A_II^-1 leaves port entries 0.
+  const std::size_t k = ps.ports.size();
+  if (sys) {
+    sys->a.add_diag(gmin);
+    for (int p : ps.ports) sys->a.add(p, p, 1.0);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) ws.g(i, i) += gmin;
+    for (int p : ps.ports) ws.g(static_cast<std::size_t>(p), static_cast<std::size_t>(p)) += 1.0;
+  }
+  for (std::size_t j = 0; j < k; ++j) ps.border(j, static_cast<std::size_t>(ps.ports[j])) += gmin;
+
+  try {
+    obs::Span sp_factor("factor");
+    if (sys)
+      sys->lu.factor(sys->a);
+    else
+      ws.lu.factor(ws.g);
+  } catch (const std::runtime_error&) {
+    return PortResult::kFailed;
+  }
+
+  // W = A_II^-1 A_IP one port column at a time, then S = A_PP - A_PI W
+  // (W is zero at the ports, so the full border row dots it exactly).
+  ps.schur = linalg::Matrix(k, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    if (sys)
+      sys->lu.solve_in_place(ps.w.row(j));
+    else
+      ws.lu.solve_in_place(ps.w.row(j));
+  }
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j)
+      ps.schur(i, j) = ps.border(i, static_cast<std::size_t>(ps.ports[j])) -
+                       linalg::dot(ps.border.row(i), ps.w.row(j));
+
+  ps.m = linalg::Matrix(k, k);
+  ps.b.assign(n, 0.0);
+  ps.wb.assign(n, 0.0);
+  ps.c.assign(k, 0.0);
+  ps.r.assign(k, 0.0);
+  ps.ready = true;
+  return PortResult::kOk;
+}
+
+/// This step's linear right-hand side through the factored system:
+/// b (RHS-only restamp), wb = A_II^-1 b_I and c = b_P - A_PI wb.
+void port_step_rhs(NewtonWorkspace& ws, SparseSystem* sys, const SimState& state) {
+  PortSystem& ps = ws.ports;
+  std::fill(ps.b.begin(), ps.b.end(), 0.0);
+  RhsStamper st(ps.b);
+  for (const Device* dev : ps.linear) dev->stamp(st, state);
+
+  std::copy(ps.b.begin(), ps.b.end(), ps.wb.begin());
+  for (int p : ps.ports) ps.wb[static_cast<std::size_t>(p)] = 0.0;
+  if (sys)
+    sys->lu.solve_in_place(ps.wb);
+  else
+    ws.lu.solve_in_place(ps.wb);
+  for (std::size_t j = 0; j < ps.ports.size(); ++j)
+    ps.c[j] = ps.b[static_cast<std::size_t>(ps.ports[j])] - linalg::dot(ps.border.row(j), ps.wb);
+}
+
 }  // namespace
 
 bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<double>& x,
@@ -95,18 +259,15 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
                   double src_scale, const TransientOptions& opt, SolveStats* stats) {
   static const obs::Counter c_restamps("ckt.newton.restamps");
   const std::size_t n = x.size();
+  PortSystem& ps = ws.ports;
+  const SimState state{x, x_prev, t, dt, dc, src_scale};
 
-  SparseSystem* sys;
-  {
-    SimState state{x, x_prev, t, dt, dc, src_scale};
-    sys = resolve_sparse(ckt, ws, state, dc, opt, n);
-  }
+  SparseSystem* sys = resolve_sparse(ckt, ws, state, dc, opt, n);
 
   const auto assemble_dense = [&] {
     ws.g.fill(0.0);
     std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
     DenseStamper st(ws.g, ws.rhs);
-    SimState state{x, x_prev, t, dt, dc, src_scale};
     for (const auto& dev : ckt.devices()) dev->stamp(st, state);
     for (std::size_t i = 0; i < n; ++i) ws.g(i, i) += opt.gmin;
   };
@@ -116,7 +277,6 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
       sys->a.clear_values();
       std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
       SparseStamper st(sys->a, ws.rhs);
-      SimState state{x, x_prev, t, dt, dc, src_scale};
       for (const auto& dev : ckt.devices()) dev->stamp(st, state);
       if (st.missed().empty()) {
         sys->a.add_diag(opt.gmin);
@@ -132,7 +292,6 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
       sys->coords.insert(sys->coords.end(), st.missed().begin(), st.missed().end());
       sys->pattern = linalg::SparsePattern::build(n, sys->coords);
       sys->a.set_pattern(&sys->pattern);
-      sys->num_cached = false;
     }
   };
 
@@ -144,8 +303,6 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
   // historical return-false semantics (weak-step tolerance).
   const auto probe_factor_fault = [&] {
     if (!robust::fault(robust::FaultSite::kFactor, fctx)) return;
-    ws.lu_cached = false;
-    if (sys) sys->num_cached = false;
     auto info = solve_error_info(robust::FailureKind::kSingularSystem, "newton_solve",
                                  opt, t, ws);
     info.detail = "injected singular pivot";
@@ -162,80 +319,9 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
     throw robust::SolveError(std::move(info));
   };
 
-  ws.residual_history.clear();
-
-  if (linear && opt.cache_lu) {
-    // Linear fast path: the Jacobian depends only on (dt, dc, gmin) —
-    // never on t, x, or src_scale, which enter the right-hand side only —
-    // so factor once per configuration and reuse the factors for every
-    // step. The single solve is exact; no damping loop is needed.
-    assemble();
-    if (stats) ++stats->total_newton_iters;
-    probe_factor_fault();
-    if (sys) {
-      if (!sys->num_cached || sys->key_dt != dt || sys->key_dc != dc ||
-          sys->key_gmin != opt.gmin) {
-        try {
-          obs::Span sp_factor("factor");
-          sys->lu.factor(sys->a);
-        } catch (const std::runtime_error&) {
-          sys->num_cached = false;
-          return false;  // singular system
-        }
-        sys->num_cached = true;
-        sys->key_dt = dt;
-        sys->key_dc = dc;
-        sys->key_gmin = opt.gmin;
-      }
-      std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-      sys->lu.solve_in_place(ws.x_new);
-    } else {
-      if (!ws.lu_cached || ws.lu_dt != dt || ws.lu_dc != dc || ws.lu_gmin != opt.gmin) {
-        try {
-          obs::Span sp_factor("factor");
-          ws.lu.factor(ws.g);
-        } catch (const std::runtime_error&) {
-          ws.lu_cached = false;
-          return false;  // singular system
-        }
-        ws.lu_cached = true;
-        ws.lu_dt = dt;
-        ws.lu_dc = dc;
-        ws.lu_gmin = opt.gmin;
-      }
-      std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-      ws.lu.solve_in_place(ws.x_new);
-    }
-    std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
-    return true;
-  }
-
-  for (int it = 0; it < opt.max_newton; ++it) {
-    check_deadline();
-    if (stats) ++stats->total_newton_iters;
-    assemble();
-    probe_factor_fault();
-    try {
-      obs::Span sp_factor("factor");
-      if (sys)
-        sys->lu.factor(sys->a);
-      else
-        ws.lu.factor(ws.g);
-    } catch (const std::runtime_error&) {
-      ws.lu_cached = false;
-      if (sys) sys->num_cached = false;
-      return false;  // singular system at this iterate
-    }
-    // The generic path leaves no reusable numeric factorization (the
-    // symbolic analysis inside the SparseLu survives on its own).
-    ws.lu_cached = false;
-    if (sys) sys->num_cached = false;
-    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
-    if (sys)
-      sys->lu.solve_in_place(ws.x_new);
-    else
-      ws.lu.solve_in_place(ws.x_new);
-
+  // Convergence test and damping over the full x, shared by both paths:
+  // true when the candidate in ws.x_new is accepted into x.
+  const auto accept_or_damp = [&] {
     double dx_max = 0.0;
     for (std::size_t i = 0; i < n; ++i)
       dx_max = std::max(dx_max, std::abs(ws.x_new[i] - x[i]));
@@ -251,9 +337,111 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
     // outside their linearization region.
     const double scale = (dx_max > opt.dx_limit) ? opt.dx_limit / dx_max : 1.0;
     for (std::size_t i = 0; i < n; ++i) x[i] += scale * (ws.x_new[i] - x[i]);
+    return false;
+  };
+
+  ws.residual_history.clear();
+
+  // Port-reduced Newton (PortSystem). The factors depend only on (dt, dc,
+  // gmin) — the linear devices' matrix is fixed once start_step has run —
+  // so they are built on the first solve of a configuration.
+  const auto build = [&] {
+    const PortResult built = build_ports(ckt, ws, sys, state, opt.gmin, n);
+    if (built != PortResult::kOk) return built;
+    ps.key_dt = dt;
+    ps.key_dc = dc;
+    ps.key_gmin = opt.gmin;
+    port_step_rhs(ws, sys, state);
+    return built;
+  };
+  const auto reduced = [&] {
+    if (!ps.ready || ps.key_dt != dt || ps.key_dc != dc || ps.key_gmin != opt.gmin) {
+      const PortResult built = build();
+      if (built != PortResult::kOk) return built;
+    } else {
+      port_step_rhs(ws, sys, state);
+    }
+    if (!dc) ps.used = true;
+
+    for (int it = 0; it < opt.max_newton; ++it) {
+      check_deadline();
+      if (stats) ++stats->total_newton_iters;
+      // M = S + G and r = c + the nonlinear rhs. A nonlinear stamp off
+      // the ports grows P and rebuilds the factors for this step.
+      for (;;) {
+        std::copy(ps.schur.data(), ps.schur.data() + ps.schur.rows() * ps.schur.cols(),
+                  ps.m.data());
+        std::copy(ps.c.begin(), ps.c.end(), ps.r.begin());
+        PortStamper st(ps.slot, ps.m, ps.r);
+        for (const Device* dev : ps.nonlinear) dev->stamp(st, state);
+        if (st.missed().empty()) break;
+        if (stats) ++stats->restamps;
+        c_restamps.add();
+        add_ports(ps, st.missed(), n);
+        const PortResult built = build();
+        if (built != PortResult::kOk) return built;
+      }
+      probe_factor_fault();
+      try {
+        ps.m_lu.factor(ps.m);
+      } catch (const std::runtime_error&) {
+        return PortResult::kFailed;  // singular S + G at this iterate
+      }
+      ps.m_lu.solve_in_place(ps.r);  // r now holds x_P
+
+      std::copy(ps.wb.begin(), ps.wb.end(), ws.x_new.begin());
+      for (std::size_t j = 0; j < ps.ports.size(); ++j) {
+        const double xp = ps.r[j];
+        const auto wj = ps.w.row(j);
+        for (std::size_t i = 0; i < n; ++i) ws.x_new[i] -= wj[i] * xp;
+      }
+      for (std::size_t j = 0; j < ps.ports.size(); ++j)
+        ws.x_new[static_cast<std::size_t>(ps.ports[j])] = ps.r[j];
+
+      if (ps.ports.empty()) {  // a linear system: the one solve is exact
+        std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
+        return PortResult::kOk;
+      }
+      if (accept_or_damp()) return PortResult::kOk;
+    }
+    return PortResult::kFailed;
+  };
+
+  if (opt.cache_lu && (!dc || linear) && !ps.bypass) {
+    const PortResult outcome = reduced();
+    if (outcome != PortResult::kBypass) return outcome == PortResult::kOk;
+    // Too many ports for this run: back to the full system and pattern.
+    ps.bypass = true;
+    if (sys) {
+      sys->pattern_ready = false;
+      sys = resolve_sparse(ckt, ws, state, dc, opt, n);
+    }
+  }
+
+  for (int it = 0; it < opt.max_newton; ++it) {
+    check_deadline();
+    if (stats) ++stats->total_newton_iters;
+    assemble();
+    probe_factor_fault();
+    try {
+      obs::Span sp_factor("factor");
+      if (sys)
+        sys->lu.factor(sys->a);
+      else
+        ws.lu.factor(ws.g);
+    } catch (const std::runtime_error&) {
+      return false;  // singular system at this iterate
+    }
+    std::copy(ws.rhs.begin(), ws.rhs.end(), ws.x_new.begin());
+    if (sys)
+      sys->lu.solve_in_place(ws.x_new);
+    else
+      ws.lu.solve_in_place(ws.x_new);
+    if (accept_or_damp()) return true;
   }
   return false;
 }
+
 
 void dc_operating_point_impl(Circuit& ckt, NewtonWorkspace& ws, bool linear,
                              std::vector<double>& x, const TransientOptions& opt,

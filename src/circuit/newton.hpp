@@ -27,11 +27,14 @@ bool circuit_is_linear(const Circuit& ckt);
 
 /// One damped Newton solve of the (non)linear MNA system at a fixed
 /// (t, dt, dc, src_scale) configuration, through the backend
-/// opt.solver resolves to for this mode. Returns true on convergence;
-/// x holds the solution (or the last iterate on failure). All scratch
-/// lives in `ws`: steady-state calls perform no heap allocation. When
-/// `stats` is non-null, total_newton_iters and restamps accumulate into
-/// it (callers decide which bucket DC iterations land in).
+/// opt.solver resolves to for this mode. With opt.cache_lu the solve is
+/// port-reduced (PortSystem) on the transient, and in DC when `linear`;
+/// otherwise, and above PortSystem::kMaxPorts ports, every iteration
+/// refactors the full system. Returns true on convergence; x holds the
+/// solution (or the last iterate on failure). All scratch lives in `ws`:
+/// steady-state calls perform no heap allocation. When `stats` is
+/// non-null, total_newton_iters and restamps accumulate into it (callers
+/// decide which bucket DC iterations land in).
 bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<double>& x,
                   const std::vector<double>& x_prev, double t, double dt, bool dc,
                   double src_scale, const TransientOptions& opt, SolveStats* stats);

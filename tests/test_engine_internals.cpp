@@ -1,17 +1,33 @@
 // Engine-internal behavior: TransientResult bounds checking, SolveStats
-// accounting, and the cached-LU linear fast path (one Newton iteration per
-// step, waveforms identical to the generic re-factorizing path).
+// accounting, the linear-device contract the port-reduced path rests on,
+// and the port-reduced path itself (cache_lu): one exact solve per step on
+// a linear circuit, and on nonlinear ones the same waveforms and Newton
+// iteration counts as the generic re-factorizing path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <typeinfo>
 #include <utility>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/devices_nonlinear.hpp"
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/stampers.hpp"
+#include "circuit/tline.hpp"
+#include "core/circuit_dut.hpp"
+#include "core/driver_device.hpp"
+#include "core/driver_estimator.hpp"
+#include "devices/reference_driver.hpp"
+#include "obs/metrics.hpp"
+#include "robust/error.hpp"
+#include "robust/fault.hpp"
 
 namespace ckt = emc::ckt;
 
@@ -298,4 +314,397 @@ TEST(LinearFastPath, DcOperatingPointOfLinearDivider) {
   ckt::dc_operating_point(c, x, opt);
   EXPECT_NEAR(x[0], 2.0, 1e-9);
   EXPECT_NEAR(x[1], 1.0, 1e-6);
+}
+
+// --------------------------------------------------- linear-device contract
+
+TEST(LinearDeviceContract, MatrixFixedAfterStartStepRhsIndependentOfCandidate) {
+  // The port-reduced path factors the linear devices' matrix once, right
+  // after the first start_step, and re-stamps only their right-hand side
+  // each step. That is sound only if, for every linear device type, the
+  // matrix stamped at step 1 is bit-equal to the one at step N and the
+  // rhs ignores the candidate x.
+  constexpr double dt = 25e-12;
+  ckt::Circuit c;
+  std::vector<int> n;
+  for (int i = 0; i < 10; ++i) n.push_back(c.node());
+  c.add<ckt::Resistor>(n[0], n[1], 50.0);
+  c.add<ckt::Capacitor>(n[1], 0, 1e-12);
+  c.add<ckt::Inductor>(n[1], n[2], 5e-9);
+  c.add<ckt::VSource>(n[0], 0, [](double t) { return 1.0 + 1e9 * t; });
+  c.add<ckt::ISource>(n[2], 0, [](double t) { return 1e-3 * (1.0 + 1e9 * t); });
+  c.add<ckt::Vccs>(n[3], 0, n[0], n[1], 1e-2);
+  c.add<ckt::Vcvs>(n[4], 0, n[2], 0, 2.0);
+  c.add<ckt::IdealLine>(n[2], 0, n[3], 0, 50.0, 0.2e-9);
+  const emc::linalg::Matrix l{{300e-9, 60e-9}, {60e-9, 300e-9}};
+  const emc::linalg::Matrix cap{{100e-12, -20e-12}, {-20e-12, 100e-12}};
+  c.add<ckt::ModalLineSegment>(std::vector<int>{n[3], n[4]}, std::vector<int>{n[5], n[6]},
+                               l, cap, 0.05);
+  ckt::CoupledLineParams p;
+  p.l = l;
+  p.c = cap;
+  p.length = 0.1;
+  p.loss.rdc = 5.0;
+  p.loss.rskin = 1e-3;  // adds the skin-effect R/L ladder
+  p.loss.tan_delta = 0.02;
+  ckt::add_coupled_lossy_line(c, {n[5], n[6]}, {n[7], n[8]}, p, dt, 3);
+  c.add<ckt::Resistor>(n[8], n[9], 10.0);
+  for (const auto& dev : c.devices()) ASSERT_FALSE(dev->nonlinear());
+
+  const auto size = static_cast<std::size_t>(c.finalize());
+  const auto& devs = c.devices();
+  std::vector<emc::linalg::Matrix> first(devs.size());
+  std::vector<double> x_prev(size), x_other(size), rhs_a(size), rhs_b(size);
+  for (std::size_t i = 0; i < size; ++i) x_prev[i] = 0.1 * std::sin(0.7 * double(i));
+  for (const auto& dev : devs) dev->reset();
+
+  for (int k = 1; k <= 60; ++k) {
+    const double t = dt * k;
+    const ckt::SimState prev{x_prev, x_prev, t, dt, false, 1.0};
+    for (const auto& dev : devs) dev->start_step(prev);
+    for (std::size_t i = 0; i < size; ++i) x_other[i] = x_prev[i] + 0.3 * std::cos(double(i + k));
+    for (std::size_t d = 0; d < devs.size(); ++d) {
+      emc::linalg::Matrix g_a(size, size), g_b(size, size);
+      std::fill(rhs_a.begin(), rhs_a.end(), 0.0);
+      std::fill(rhs_b.begin(), rhs_b.end(), 0.0);
+      ckt::DenseStamper st_a(g_a, rhs_a), st_b(g_b, rhs_b);
+      devs[d]->stamp(st_a, ckt::SimState{x_prev, x_prev, t, dt, false, 1.0});
+      devs[d]->stamp(st_b, ckt::SimState{x_other, x_prev, t, dt, false, 1.0});
+      const char* type = typeid(*devs[d]).name();
+      ASSERT_EQ(rhs_a, rhs_b) << "device " << d << " (" << type << ") step " << k;
+      if (k == 1) first[d] = g_a;
+      ASSERT_EQ(std::memcmp(first[d].data(), g_a.data(), size * size * sizeof(double)), 0)
+          << "device " << d << " (" << type << ") step " << k;
+    }
+    // Commit a moving state so every history term changes.
+    for (std::size_t i = 0; i < size; ++i) x_other[i] = x_prev[i] + 0.05 * std::sin(double(3 * k + i));
+    const ckt::SimState done{x_other, x_prev, t, dt, false, 1.0};
+    for (const auto& dev : devs) dev->commit(done);
+    x_prev = x_other;
+  }
+}
+
+// ------------------------------------------------------- port-reduced path
+
+namespace {
+
+struct RunOut {
+  std::vector<double> record;  ///< all unknowns, step-major
+  ckt::SolveStats stats;
+  std::size_t ports = 0;  ///< port count the reduced path ended the run with
+};
+
+/// One transient of the circuit `build` makes, fresh workspace.
+template <class Build>
+RunOut run_with(Build build, ckt::TransientOptions opt, bool cache_lu, ckt::SolverKind solver) {
+  ckt::Circuit c;
+  build(c);
+  opt.cache_lu = cache_lu;
+  opt.solver = solver;
+  ckt::NewtonWorkspace ws;
+  auto res = ckt::run_transient(c, opt, ws);
+  return {res.data(), res.stats, ws.ports.ports.size()};
+}
+
+double max_abs_delta(const std::vector<double>& a, const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double m = 0.0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+    m = std::max(m, std::abs(a[i] - b[i]));
+  return m;
+}
+
+/// The reduced path (cache_lu) against the generic reference on both
+/// backends: every unknown within 1e-9, identical Newton iteration and
+/// weak-step counts, and the expected port count.
+template <class Build>
+void expect_matches_reference(Build build, const ckt::TransientOptions& opt,
+                              std::size_t ports) {
+  for (auto solver : {ckt::SolverKind::kDense, ckt::SolverKind::kSparse}) {
+    const RunOut red = run_with(build, opt, true, solver);
+    const RunOut ref = run_with(build, opt, false, solver);
+    const int s = static_cast<int>(solver);
+    EXPECT_LE(max_abs_delta(red.record, ref.record), 1e-9) << "solver " << s;
+    EXPECT_EQ(red.stats.total_newton_iters, ref.stats.total_newton_iters) << "solver " << s;
+    EXPECT_EQ(red.stats.weak_steps, ref.stats.weak_steps) << "solver " << s;
+    EXPECT_EQ(red.stats.dc_newton_iters, ref.stats.dc_newton_iters) << "solver " << s;
+    EXPECT_EQ(red.ports, ports) << "solver " << s;
+    EXPECT_GT(red.stats.total_newton_iters, red.stats.steps) << "solver " << s;
+  }
+}
+
+/// Fig. 3 coupled on-MCM line (bench/experiments.cpp mcm_fig3_params).
+ckt::CoupledLineParams fig3_line() {
+  ckt::CoupledLineParams p;
+  p.l = emc::linalg::Matrix{{466e-9, 66e-9}, {66e-9, 466e-9}};
+  p.c = emc::linalg::Matrix{{66e-12, -6.6e-12}, {-6.6e-12, 66e-12}};
+  p.length = 0.1;
+  p.loss.rdc = 66.0;
+  p.loss.rskin = 1.6e-3;
+  p.loss.tan_delta = 0.001;
+  p.loss.f_ref = 1e9;
+  return p;
+}
+
+/// `conductors` R-driven lines of a coupled lossy bus, every far end
+/// clamped to ground by a diode and loaded: one port per far end.
+void build_clamped_bus(ckt::Circuit& c, int conductors) {
+  const auto m = static_cast<std::size_t>(conductors);
+  emc::linalg::Matrix l(m, m), cap(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    l(i, i) = 300e-9;
+    cap(i, i) = 100e-12;
+    if (i + 1 < m) {
+      l(i, i + 1) = l(i + 1, i) = 60e-9;
+      cap(i, i + 1) = cap(i + 1, i) = -20e-12;
+    }
+  }
+  ckt::CoupledLineParams p;
+  p.l = l;
+  p.c = cap;
+  p.length = 0.2;
+  p.loss.rdc = 5.0;
+  p.loss.rskin = 1e-3;
+  p.loss.tan_delta = 0.02;
+  std::vector<int> near, far;
+  for (std::size_t k = 0; k < m; ++k) {
+    near.push_back(c.node());
+    far.push_back(c.node());
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    const int src = c.node();
+    const double t_edge = 0.5e-9 + 0.1e-9 * static_cast<double>(k);
+    c.add<ckt::VSource>(src, 0, [t_edge](double t) { return t < t_edge ? 0.0 : 1.5; });
+    c.add<ckt::Resistor>(src, near[k], 25.0);
+  }
+  ckt::add_coupled_lossy_line(c, near, far, p, 50e-12, 4);
+  for (std::size_t k = 0; k < m; ++k) {
+    c.add<ckt::Diode>(0, far[k]);
+    c.add<ckt::Capacitor>(far[k], 0, 2e-12);
+  }
+}
+
+/// Nonlinear test device: a diode from `a` to ground from the start and a
+/// second one from `b` to ground from t_on on — a stamp outside the port
+/// set discovered on the first step.
+class LateClamp : public ckt::Device {
+ public:
+  LateClamp(int a, int b, double t_on) : a_(a), b_(b), t_on_(t_on) {}
+  bool nonlinear() const override { return true; }
+  void stamp(ckt::Stamper& s, const ckt::SimState& st) const override {
+    clamp(s, st, a_);
+    if (!st.dc && st.t >= t_on_) clamp(s, st, b_);
+  }
+
+ private:
+  void clamp(ckt::Stamper& s, const ckt::SimState& st, int node) const {
+    const auto [i, g] = diode_.eval(st.v(node));
+    s.nonlinear_current(node, 0, i, g, st.v(node));
+  }
+
+  int a_, b_;
+  double t_on_;
+  ckt::Diode diode_{0, 0};
+};
+
+std::uint64_t fnv1a(const std::vector<double>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (double d : v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &d, sizeof d);
+    for (unsigned char byte : bytes) {
+      h ^= byte;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// Linear RLC ladder (6 sections) driven by a 1 ns ramp to 3.3 V.
+void build_linear_ladder(ckt::Circuit& c) {
+  const int in = c.node();
+  c.add<ckt::VSource>(in, 0, [](double t) {
+    return t < 1e-9 ? 0.0 : (t < 2e-9 ? 3.3 * (t - 1e-9) / 1e-9 : 3.3);
+  });
+  int prev = in;
+  for (int s = 0; s < 6; ++s) {
+    const int mid = c.node();
+    const int out = c.node();
+    c.add<ckt::Resistor>(prev, mid, 5.0);
+    c.add<ckt::Inductor>(mid, out, 2e-9);
+    c.add<ckt::Capacitor>(out, 0, 1e-12);
+    prev = out;
+  }
+  c.add<ckt::Resistor>(prev, 0, 50.0);
+}
+
+}  // namespace
+
+TEST(PortReduced, Fig3EmissionCornerMatchesReference) {
+  // The emission corner of the sweep: two PW-RBF drivers (MD3) on the
+  // lossy coupled Fig. 3 line, far ends loaded. Only the two pads are
+  // ports.
+  const auto model =
+      emc::core::estimate_driver_model(emc::core::CircuitDriverDut(emc::dev::DriverTech::md3_ibm25()));
+  const std::string active = "0110100111010010";
+  const auto build = [&](ckt::Circuit& c) {
+    const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node();
+    ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, fig3_line(), model.ts);
+    c.add<ckt::Capacitor>(b1, 0, 1e-12);
+    c.add<ckt::Capacitor>(b2, 0, 1e-12);
+    c.add<emc::core::DriverDevice>(a1, model, active, 1e-9);
+    c.add<emc::core::DriverDevice>(a2, model, std::string(active.size(), '0'), 1e-9);
+  };
+  ckt::TransientOptions opt;
+  opt.dt = model.ts;
+  opt.t_stop = 1e-9 * static_cast<double>(active.size());
+  expect_matches_reference(build, opt, 2);
+}
+
+TEST(PortReduced, DiodeClampedBusWithEightPorts) {
+  // The bench_sparse harness shape at kMaxPorts: eight clamped far ends.
+  ckt::TransientOptions opt;
+  opt.dt = 50e-12;
+  opt.t_stop = 3e-9;
+  const auto runs = [] {
+    return emc::obs::registry().snapshot().value("ckt.transient.port_reduced_runs");
+  };
+  const auto before = runs();
+  expect_matches_reference([](ckt::Circuit& c) { build_clamped_bus(c, 8); }, opt, 8);
+  EXPECT_EQ(runs() - before, 2u);  // the two cache_lu runs, not the references
+}
+
+TEST(PortReduced, MorePortsThanLimitTakesGenericPath) {
+  ckt::TransientOptions opt;
+  opt.dt = 50e-12;
+  opt.t_stop = 1e-9;
+  const auto build = [](ckt::Circuit& c) { build_clamped_bus(c, 9); };
+  for (auto solver : {ckt::SolverKind::kDense, ckt::SolverKind::kSparse}) {
+    const RunOut red = run_with(build, opt, true, solver);
+    const RunOut ref = run_with(build, opt, false, solver);
+    EXPECT_EQ(red.record, ref.record);  // the same generic solve, bit for bit
+    EXPECT_EQ(red.stats.total_newton_iters, ref.stats.total_newton_iters);
+  }
+}
+
+TEST(PortReduced, GminOnlyPortNodeMatchesReference) {
+  // The node between two series diodes is stamped by nothing linear: its
+  // port row holds gmin alone. The bordered form never inverts it (a
+  // Woodbury update of the linear matrix would invert that 1e-12 pivot).
+  const auto build = [](ckt::Circuit& c) {
+    const int in = c.node(), a = c.node(), mid = c.node();
+    c.add<ckt::VSource>(in, 0, [](double t) { return t < 0.5e-9 ? 0.0 : 3.0; });
+    c.add<ckt::Resistor>(in, a, 100.0);
+    c.add<ckt::Capacitor>(a, 0, 1e-12);
+    c.add<ckt::Diode>(a, mid);
+    c.add<ckt::Diode>(mid, 0);
+  };
+  ckt::TransientOptions opt;
+  opt.dt = 10e-12;
+  opt.t_stop = 3e-9;
+  expect_matches_reference(build, opt, 2);
+}
+
+TEST(PortReduced, VoltageSourceAtPortJoinsPorts) {
+  // A diode straight across a voltage source: the source's branch row and
+  // column in the interior block would hold gmin alone, so the branch
+  // current joins the ports with the node.
+  const auto build = [](ckt::Circuit& c) {
+    const int in = c.node(), out = c.node();
+    c.add<ckt::VSource>(in, 0, [](double t) { return t < 0.5e-9 ? 0.2 : 0.8; });
+    c.add<ckt::Diode>(in, 0);
+    c.add<ckt::Resistor>(in, out, 50.0);
+    c.add<ckt::Capacitor>(out, 0, 1e-12);
+  };
+  ckt::TransientOptions opt;
+  opt.dt = 10e-12;
+  opt.t_stop = 2e-9;
+  expect_matches_reference(build, opt, 2);
+}
+
+TEST(PortReduced, FloatingNodeOfLinearCircuitIsNoPort) {
+  // In DC the capacitor-only island has a gmin-only row, but it touches
+  // no port: a linear circuit keeps k = 0 and its one solve per step.
+  const auto build = [](ckt::Circuit& c) {
+    const int in = c.node(), island = c.node();
+    c.add<ckt::VSource>(in, 0, [](double t) { return t < 0.2e-9 ? 0.0 : 1.0; });
+    c.add<ckt::Capacitor>(in, island, 1e-12);
+    c.add<ckt::Resistor>(in, 0, 50.0);
+  };
+  ckt::TransientOptions opt;
+  opt.dt = 10e-12;
+  opt.t_stop = 1e-9;
+  const RunOut run = run_with(build, opt, true, ckt::SolverKind::kDense);
+  EXPECT_EQ(run.ports, 0u);
+  EXPECT_EQ(run.stats.total_newton_iters, run.stats.steps);
+  EXPECT_EQ(run.stats.dc_newton_iters, 5);
+}
+
+TEST(PortReduced, LateStampOutsidePortsGrowsPortSet) {
+  const auto build = [](ckt::Circuit& c) {
+    const int in = c.node(), a = c.node(), b = c.node();
+    c.add<ckt::VSource>(in, 0, [](double t) { return t < 0.2e-9 ? 0.0 : 2.0; });
+    c.add<ckt::Resistor>(in, a, 50.0);
+    c.add<ckt::Resistor>(a, b, 50.0);
+    c.add<ckt::Capacitor>(b, 0, 1e-12);
+    c.add<LateClamp>(a, b, 1e-9);
+  };
+  ckt::TransientOptions opt;
+  opt.dt = 10e-12;
+  opt.t_stop = 2e-9;
+  expect_matches_reference(build, opt, 2);
+  // One growth per run: the first step at t_on stamps node b.
+  const RunOut dense = run_with(build, opt, true, ckt::SolverKind::kDense);
+  EXPECT_EQ(dense.stats.restamps, 1);
+}
+
+TEST(PortReduced, OneFactorProbePerNewtonIteration) {
+  // The kFactor fault site is probed exactly once per Newton iteration,
+  // DC and transient, on both paths: an armed fault that skips N probes
+  // never fires in a run of N iterations, one that skips N - 1 does.
+  const auto build = [](ckt::Circuit& c) { build_clamped_bus(c, 2); };
+  ckt::TransientOptions opt;
+  opt.dt = 50e-12;
+  opt.t_stop = 2e-9;
+  for (bool cache_lu : {true, false}) {
+    const RunOut clean = run_with(build, opt, cache_lu, ckt::SolverKind::kAuto);
+    const long iters = clean.stats.total_newton_iters + clean.stats.dc_newton_iters;
+    for (long skip : {iters, iters - 1}) {
+      emc::robust::FaultPlan plan;
+      emc::robust::FaultSpec spec;
+      spec.site = emc::robust::FaultSite::kFactor;
+      spec.skip = skip;
+      plan.arm(spec);
+      emc::robust::ScopedFaultPlan scoped(plan);
+      if (skip == iters) {
+        EXPECT_NO_THROW(run_with(build, opt, cache_lu, ckt::SolverKind::kAuto));
+        EXPECT_EQ(plan.fired(), 0) << "cache_lu " << cache_lu;
+      } else {
+        EXPECT_THROW(run_with(build, opt, cache_lu, ckt::SolverKind::kAuto),
+                     emc::robust::SolveError);
+        EXPECT_EQ(plan.fired(), 1) << "cache_lu " << cache_lu;
+      }
+    }
+  }
+}
+
+TEST(PortReduced, LinearLadderBitIdenticalToCachedLuRecord) {
+  // A linear circuit is the k = 0 case: one exact solve per step, DC
+  // included, and the record bit-identical to the cached-LU fast path the
+  // port-reduced path replaced (FNV-1a over the record's bytes as that path
+  // produced it, IEEE double arithmetic without fused multiply-add).
+  ckt::TransientOptions opt;
+  opt.dt = 25e-12;
+  opt.t_stop = 8e-9;
+  const std::pair<ckt::SolverKind, std::uint64_t> expected[] = {
+      {ckt::SolverKind::kDense, 0x9693420af3a3d875ull},
+      {ckt::SolverKind::kSparse, 0xf67f111e5766e1e3ull},
+  };
+  for (const auto& [solver, hash] : expected) {
+    const RunOut run = run_with(build_linear_ladder, opt, true, solver);
+    EXPECT_EQ(fnv1a(run.record), hash) << "solver " << static_cast<int>(solver);
+    EXPECT_EQ(run.stats.total_newton_iters, run.stats.steps);
+    EXPECT_EQ(run.stats.dc_newton_iters, 5);  // one solve per gmin stage
+    EXPECT_EQ(run.ports, 0u);
+  }
 }

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/devices_nonlinear.hpp"
@@ -159,4 +163,77 @@ TEST(EngineRobustness, ZeroVoltSourceActsAsAmmeter) {
   auto res = run_transient(ckt, opt);
   EXPECT_NEAR(res.waveform(mid)[2], 5.0, 1e-6);
   EXPECT_NEAR(res.waveform(probe.current_id())[2], 5e-3, 1e-8);
+}
+
+namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Counts stamp calls without contributing to the system.
+class StampCounter : public Device {
+ public:
+  explicit StampCounter(int* calls) : calls_(calls) {}
+  void stamp(Stamper& s, const SimState& st) const override {
+    (void)s;
+    (void)st;
+    ++*calls_;
+  }
+
+ private:
+  int* calls_;
+};
+
+}  // namespace
+
+TEST(EngineRobustness, RejectsBadOptionsBeforeStamping) {
+  // max_newton = 0 used to accept every step unsolved at x_prev (a flat
+  // 0 V waveform), and a NaN time passed the ordering checks and set the
+  // step count through llround. Every such option must throw before any
+  // device is stamped.
+  Circuit ckt;
+  const int vin = ckt.node();
+  const int out = ckt.node();
+  ckt.add<VSource>(vin, ckt.ground(), 1.0);
+  ckt.add<Resistor>(vin, out, 100.0);
+  ckt.add<Capacitor>(out, ckt.ground(), 1e-12);
+  ckt.add<Diode>(out, ckt.ground());
+  int stamps = 0;
+  ckt.add<StampCounter>(&stamps);
+
+  TransientOptions good;
+  good.dt = 1e-11;
+  good.t_stop = 2e-9;
+  const std::vector<std::pair<const char*, void (*)(TransientOptions&)>> cases = {
+      {"max_newton 0", [](TransientOptions& o) { o.max_newton = 0; }},
+      {"max_newton -1", [](TransientOptions& o) { o.max_newton = -1; }},
+      {"dt NaN", [](TransientOptions& o) { o.dt = kNan; }},
+      {"dt inf", [](TransientOptions& o) { o.dt = kInf; }},
+      {"t_stop NaN", [](TransientOptions& o) { o.t_stop = kNan; }},
+      {"t_stop inf", [](TransientOptions& o) { o.t_stop = kInf; }},
+      {"t_start NaN", [](TransientOptions& o) { o.t_start = kNan; }},
+      {"t_start -inf", [](TransientOptions& o) { o.t_start = -kInf; }},
+      {"tol 0", [](TransientOptions& o) { o.tol = 0.0; }},
+      {"tol -1", [](TransientOptions& o) { o.tol = -1.0; }},
+      {"tol NaN", [](TransientOptions& o) { o.tol = kNan; }},
+      {"tol inf", [](TransientOptions& o) { o.tol = kInf; }},
+      {"dx_limit 0", [](TransientOptions& o) { o.dx_limit = 0.0; }},
+      {"dx_limit NaN", [](TransientOptions& o) { o.dx_limit = kNan; }},
+      {"dx_limit inf", [](TransientOptions& o) { o.dx_limit = kInf; }},
+      {"gmin -1e-12", [](TransientOptions& o) { o.gmin = -1e-12; }},
+      {"gmin NaN", [](TransientOptions& o) { o.gmin = kNan; }},
+      {"gmin inf", [](TransientOptions& o) { o.gmin = kInf; }},
+  };
+  for (const auto& [name, corrupt] : cases) {
+    TransientOptions bad = good;
+    corrupt(bad);
+    EXPECT_THROW(run_transient(ckt, bad), std::invalid_argument) << name;
+    EXPECT_EQ(stamps, 0) << name;
+  }
+
+  // The same circuit with valid options solves: the diode clamps the
+  // 1 V step well above 0 V.
+  const auto res = run_transient(ckt, good);
+  EXPECT_GT(stamps, 0);
+  EXPECT_GT(res.waveform(out)[res.steps() - 1], 0.5);
 }
