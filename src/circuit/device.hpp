@@ -98,6 +98,15 @@ class Device {
   /// return true even if its stamp ignores x.
   virtual bool nonlinear() const { return false; }
 
+  /// Contribute only the right-hand-side entries of stamp(): the
+  /// port-reduced path's per-step restamp of a linear device whose matrix
+  /// is already factored. The contract: stamp_rhs writes exactly the rhs
+  /// entries stamp() writes, with the same values in the same order, and
+  /// no matrix entry. The default calls stamp(), which is always correct;
+  /// a device overriding it has stamp() emit its matrix part and then call
+  /// its own stamp_rhs(), so the rhs formula lives in one place.
+  virtual void stamp_rhs(Stamper& s, const SimState& st) const { stamp(s, st); }
+
   /// Called once per time step before the Newton loop; history-dependent
   /// companion terms are computed here (x in `st` is the previous solution).
   virtual void start_step(const SimState& st) { (void)st; }

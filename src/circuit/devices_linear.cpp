@@ -24,6 +24,11 @@ void Capacitor::start_step(const SimState& st) {
 void Capacitor::stamp(Stamper& s, const SimState& st) const {
   if (st.dc) return;  // open circuit at DC
   s.conductance(a_, b_, geq_);
+  stamp_rhs(s, st);
+}
+
+void Capacitor::stamp_rhs(Stamper& s, const SimState& st) const {
+  if (st.dc) return;
   s.current_source(b_, a_, ieq_);  // i = geq*v - ieq flowing a->b
 }
 
@@ -59,11 +64,18 @@ void Inductor::stamp(Stamper& s, const SimState& st) const {
   }
   // Trapezoidal: v_n + v_prev = (2L/dt)(i_n - i_prev)
   const double req = 2.0 * l_ / st.dt;
-  const double v_prev = st.v_prev(a_) - st.v_prev(b_);
-  const double i_prev = st.v_prev(j);
   s.g(j, a_, 1.0);
   s.g(j, b_, -1.0);
   s.g(j, j, -req);
+  stamp_rhs(s, st);
+}
+
+void Inductor::stamp_rhs(Stamper& s, const SimState& st) const {
+  if (st.dc) return;
+  const int j = extra_base_;
+  const double req = 2.0 * l_ / st.dt;
+  const double v_prev = st.v_prev(a_) - st.v_prev(b_);
+  const double i_prev = st.v_prev(j);
   s.rhs(j, -req * i_prev - v_prev);
 }
 
@@ -81,7 +93,11 @@ void VSource::stamp(Stamper& s, const SimState& st) const {
   s.g(m_, j, -1.0);
   s.g(j, p_, 1.0);
   s.g(j, m_, -1.0);
-  s.rhs(j, st.src_scale * value_(st.t));
+  stamp_rhs(s, st);
+}
+
+void VSource::stamp_rhs(Stamper& s, const SimState& st) const {
+  s.rhs(extra_base_, st.src_scale * value_(st.t));
 }
 
 ISource::ISource(int a, int b, std::function<double(double)> value)

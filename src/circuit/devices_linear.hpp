@@ -14,6 +14,7 @@ class Resistor : public Device {
  public:
   Resistor(int a, int b, double ohms);
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper&, const SimState&) const override {}
 
  private:
   int a_, b_;
@@ -26,6 +27,7 @@ class Capacitor : public Device {
   Capacitor(int a, int b, double farads);
   void start_step(const SimState& st) override;
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper& s, const SimState& st) const override;
   void commit(const SimState& st) override;
   void post_dc(const SimState& st) override;
   void reset() override;
@@ -45,6 +47,7 @@ class Inductor : public Device {
   int num_extra() const override { return 1; }
   void start_step(const SimState& st) override;
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper& s, const SimState& st) const override;
   void reset() override;
 
   /// Terminal id of the branch-current unknown (valid after finalize()).
@@ -67,6 +70,7 @@ class VSource : public Device {
 
   int num_extra() const override { return 1; }
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper& s, const SimState& st) const override;
 
   int current_id() const { return extra_base_; }
   double value_at(double t) const { return value_(t); }
@@ -92,6 +96,7 @@ class Vccs : public Device {
  public:
   Vccs(int a, int b, int ca, int cb, double gm);
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper&, const SimState&) const override {}
 
  private:
   int a_, b_, ca_, cb_;
@@ -104,6 +109,7 @@ class Vcvs : public Device {
   Vcvs(int p, int m, int ca, int cb, double k);
   int num_extra() const override { return 1; }
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper&, const SimState&) const override {}
 
  private:
   int p_, m_, ca_, cb_;

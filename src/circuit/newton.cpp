@@ -235,12 +235,13 @@ PortResult build_ports(Circuit& ckt, NewtonWorkspace& ws, SparseSystem* sys,
 }
 
 /// This step's linear right-hand side through the factored system:
-/// b (RHS-only restamp), wb = A_II^-1 b_I and c = b_P - A_PI wb.
+/// b (Device::stamp_rhs of every linear device), wb = A_II^-1 b_I and
+/// c = b_P - A_PI wb.
 void port_step_rhs(NewtonWorkspace& ws, SparseSystem* sys, const SimState& state) {
   PortSystem& ps = ws.ports;
   std::fill(ps.b.begin(), ps.b.end(), 0.0);
   RhsStamper st(ps.b);
-  for (const Device* dev : ps.linear) dev->stamp(st, state);
+  for (const Device* dev : ps.linear) dev->stamp_rhs(st, state);
 
   std::copy(ps.b.begin(), ps.b.end(), ps.wb.begin());
   for (int p : ps.ports) ps.wb[static_cast<std::size_t>(p)] = 0.0;

@@ -88,7 +88,8 @@ class SparseStamper final : public Stamper {
 };
 
 /// Right-hand side only: matrix entries are discarded (the per-step
-/// restamp of devices whose matrix is already factored).
+/// restamp of devices whose matrix is already factored; devices that
+/// override Device::stamp_rhs send it no matrix entry at all).
 class RhsStamper final : public Stamper {
  public:
   explicit RhsStamper(std::span<double> rhs) : rhs_(rhs) {}

@@ -1,5 +1,6 @@
 #include "circuit/tline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,6 +12,45 @@ namespace emc::ckt {
 
 namespace {
 constexpr double kDcShortConductance = 1e3;  // DC companion of a lossless line
+
+/// Samples a line must keep readable at step dt: a query at step n reads
+/// index floor(n - td/dt) or later, and the margin covers the rounding of
+/// the sample times.
+std::size_t wave_window(double td_max, double dt) {
+  return static_cast<std::size_t>(std::floor(td_max / dt)) + 3;
+}
+}  // namespace
+
+void WaveHistory::seed(double w) {
+  s_.assign(1, w);
+  dropped_ = 0;
+}
+
+void WaveHistory::push(double w, std::size_t window) {
+  s_.push_back(w);
+  if (s_.size() > 2 * window) {
+    const std::size_t drop = s_.size() - window;
+    s_.erase(s_.begin(), s_.begin() + static_cast<std::ptrdiff_t>(drop));
+    dropped_ += drop;
+  }
+}
+
+void WaveHistory::clear() {
+  s_.clear();
+  dropped_ = 0;
+}
+
+double WaveHistory::at(double u) const {
+  if (s_.empty()) return 0.0;
+  if (u <= 0.0 && dropped_ == 0) return s_.front();
+  const auto last = static_cast<double>(dropped_ + s_.size() - 1);
+  if (u >= last) return s_.back();
+  if (u < static_cast<double>(dropped_))
+    throw std::logic_error("WaveHistory: sample already trimmed");
+  const auto k = static_cast<std::size_t>(u);
+  const double frac = u - static_cast<double>(k);
+  const double* p = s_.data() + (k - dropped_);
+  return p[0] * (1.0 - frac) + p[1] * frac;
 }
 
 IdealLine::IdealLine(int ap, int am, int bp, int bm, double z0, double td)
@@ -19,21 +59,19 @@ IdealLine::IdealLine(int ap, int am, int bp, int bm, double z0, double td)
   if (td <= 0.0) throw std::invalid_argument("IdealLine: td must be positive");
 }
 
-double IdealLine::wave_at(const std::vector<double>& hist, double t) const {
-  if (hist.empty()) return 0.0;
-  const double u = (t - hist_t0_) / hist_dt_;
-  if (u <= 0.0) return hist.front();
-  const auto last = static_cast<double>(hist.size() - 1);
-  if (u >= last) return hist.back();
-  const auto k = static_cast<std::size_t>(u);
-  const double frac = u - static_cast<double>(k);
-  return hist[k] * (1.0 - frac) + hist[k + 1] * frac;
+double IdealLine::wave_at(const WaveHistory& hist, double t) const {
+  return hist.at((t - hist_t0_) / hist_dt_);
+}
+
+std::size_t IdealLine::history_samples() const {
+  return std::max(wave_a_.stored(), wave_b_.stored());
 }
 
 void IdealLine::start_step(const SimState& st) {
   if (st.dt > 0.0 && td_ < st.dt)
     throw std::runtime_error("IdealLine: delay shorter than the time step");
   hist_dt_ = st.dt;
+  window_ = wave_window(td_, st.dt);
   // Incident wave at each end = wave launched from the far end td ago.
   ea_ = wave_at(wave_b_, st.t - td_);
   eb_ = wave_at(wave_a_, st.t - td_);
@@ -47,8 +85,13 @@ void IdealLine::stamp(Stamper& s, const SimState& st) const {
   }
   // i_a = (v_a - E_a)/z0 into the line at each end.
   s.conductance(ap_, am_, g_);
-  s.current_source(am_, ap_, g_ * ea_);
   s.conductance(bp_, bm_, g_);
+  stamp_rhs(s, st);
+}
+
+void IdealLine::stamp_rhs(Stamper& s, const SimState& st) const {
+  if (st.dc) return;
+  s.current_source(am_, ap_, g_ * ea_);
   s.current_source(bm_, bp_, g_ * eb_);
 }
 
@@ -59,8 +102,8 @@ void IdealLine::commit(const SimState& st) {
   const double ia = g_ * (va - ea_);
   const double ib = g_ * (vb - eb_);
   if (wave_a_.empty()) hist_t0_ = st.t;
-  wave_a_.push_back(va + z0_ * ia);
-  wave_b_.push_back(vb + z0_ * ib);
+  wave_a_.push(va + z0_ * ia, window_);
+  wave_b_.push(vb + z0_ * ib, window_);
 }
 
 void IdealLine::post_dc(const SimState& st) {
@@ -69,8 +112,8 @@ void IdealLine::post_dc(const SimState& st) {
   const double va = st.v(ap_) - st.v(am_);
   const double vb = st.v(bp_) - st.v(bm_);
   const double ia = kDcShortConductance * (va - vb);
-  wave_a_.assign(1, va + z0_ * ia);
-  wave_b_.assign(1, vb - z0_ * ia);
+  wave_a_.seed(va + z0_ * ia);
+  wave_b_.seed(vb - z0_ * ia);
   hist_t0_ = st.t;
   hist_dt_ = 1.0;  // single constant sample; interpolation clamps anyway
 }
@@ -123,32 +166,29 @@ ModalLineSegment::ModalLineSegment(std::vector<int> nodes_a, std::vector<int> no
 
   wave_a_.resize(n_);
   wave_b_.resize(n_);
-  ea_.resize(n_);
-  eb_.resize(n_);
-  ja_.resize(n_);
-  jb_.resize(n_);
+  for (auto* v : {&ea_, &eb_, &ja_, &jb_, &tmp_, &vma_, &vmb_}) v->resize(n_);
 }
 
-double ModalLineSegment::wave_at(const std::vector<double>& hist, double t) const {
-  if (hist.empty()) return 0.0;
-  const double u = (t - hist_t0_) / hist_dt_;
-  if (u <= 0.0) return hist.front();
-  const auto last = static_cast<double>(hist.size() - 1);
-  if (u >= last) return hist.back();
-  const auto k = static_cast<std::size_t>(u);
-  const double frac = u - static_cast<double>(k);
-  return hist[k] * (1.0 - frac) + hist[k + 1] * frac;
+double ModalLineSegment::wave_at(const WaveHistory& hist, double t) const {
+  return hist.at((t - hist_t0_) / hist_dt_);
 }
 
-std::vector<double> ModalLineSegment::modal_voltages(const SimState& st,
-                                                     const std::vector<int>& nodes) const {
-  std::vector<double> v(n_);
-  for (std::size_t k = 0; k < n_; ++k) v[k] = st.v(nodes[k]);
-  return tv_inv_.apply(v);
+std::size_t ModalLineSegment::history_samples() const {
+  std::size_t most = 0;
+  for (std::size_t m = 0; m < n_; ++m)
+    most = std::max({most, wave_a_[m].stored(), wave_b_[m].stored()});
+  return most;
+}
+
+void ModalLineSegment::modal_voltages(const SimState& st, const std::vector<int>& nodes,
+                                      std::vector<double>& vm) {
+  for (std::size_t k = 0; k < n_; ++k) tmp_[k] = st.v(nodes[k]);
+  tv_inv_.apply(tmp_, vm);
 }
 
 void ModalLineSegment::start_step(const SimState& st) {
   hist_dt_ = st.dt;
+  window_ = wave_window(*std::max_element(tdm_.begin(), tdm_.end()), st.dt);
   for (std::size_t m = 0; m < n_; ++m) {
     if (st.dt > 0.0 && tdm_[m] < st.dt)
       throw std::runtime_error("ModalLineSegment: modal delay shorter than the time step");
@@ -156,13 +196,10 @@ void ModalLineSegment::start_step(const SimState& st) {
     eb_[m] = wave_at(wave_a_[m], st.t - tdm_[m]);
   }
   // Physical companion current sources J = ti * diag(1/z0m) * E.
-  std::vector<double> sa(n_), sb(n_);
-  for (std::size_t m = 0; m < n_; ++m) {
-    sa[m] = ea_[m] / z0m_[m];
-    sb[m] = eb_[m] / z0m_[m];
-  }
-  ja_ = ti_.apply(sa);
-  jb_ = ti_.apply(sb);
+  for (std::size_t m = 0; m < n_; ++m) tmp_[m] = ea_[m] / z0m_[m];
+  ti_.apply(tmp_, ja_);
+  for (std::size_t m = 0; m < n_; ++m) tmp_[m] = eb_[m] / z0m_[m];
+  ti_.apply(tmp_, jb_);
 }
 
 void ModalLineSegment::stamp(Stamper& s, const SimState& st) const {
@@ -177,6 +214,13 @@ void ModalLineSegment::stamp(Stamper& s, const SimState& st) const {
       s.g(na_[k], na_[l], y_(k, l));
       s.g(nb_[k], nb_[l], y_(k, l));
     }
+  }
+  stamp_rhs(s, st);
+}
+
+void ModalLineSegment::stamp_rhs(Stamper& s, const SimState& st) const {
+  if (st.dc) return;
+  for (std::size_t k = 0; k < n_; ++k) {
     s.current_source(0, na_[k], ja_[k]);
     s.current_source(0, nb_[k], jb_[k]);
   }
@@ -184,21 +228,21 @@ void ModalLineSegment::stamp(Stamper& s, const SimState& st) const {
 
 void ModalLineSegment::commit(const SimState& st) {
   if (st.dc) return;
-  const auto vma = modal_voltages(st, na_);
-  const auto vmb = modal_voltages(st, nb_);
+  modal_voltages(st, na_, vma_);
+  modal_voltages(st, nb_, vmb_);
   const bool first = wave_a_[0].empty();
   if (first) hist_t0_ = st.t;
   for (std::size_t m = 0; m < n_; ++m) {
-    const double ima = (vma[m] - ea_[m]) / z0m_[m];
-    const double imb = (vmb[m] - eb_[m]) / z0m_[m];
-    wave_a_[m].push_back(vma[m] + z0m_[m] * ima);
-    wave_b_[m].push_back(vmb[m] + z0m_[m] * imb);
+    const double ima = (vma_[m] - ea_[m]) / z0m_[m];
+    const double imb = (vmb_[m] - eb_[m]) / z0m_[m];
+    wave_a_[m].push(vma_[m] + z0m_[m] * ima, window_);
+    wave_b_[m].push(vmb_[m] + z0m_[m] * imb, window_);
   }
 }
 
 void ModalLineSegment::post_dc(const SimState& st) {
-  const auto vma = modal_voltages(st, na_);
-  const auto vmb = modal_voltages(st, nb_);
+  modal_voltages(st, na_, vma_);
+  modal_voltages(st, nb_, vmb_);
   // Physical DC currents through the companion shorts.
   std::vector<double> idc(n_);
   for (std::size_t k = 0; k < n_; ++k)
@@ -209,8 +253,8 @@ void ModalLineSegment::post_dc(const SimState& st) {
   hist_t0_ = st.t;
   hist_dt_ = 1.0;
   for (std::size_t m = 0; m < n_; ++m) {
-    wave_a_[m].assign(1, vma[m] + z0m_[m] * im[m]);
-    wave_b_[m].assign(1, vmb[m] - z0m_[m] * im[m]);
+    wave_a_[m].seed(vma_[m] + z0m_[m] * im[m]);
+    wave_b_[m].seed(vmb_[m] - z0m_[m] * im[m]);
   }
 }
 

@@ -20,6 +20,33 @@
 
 namespace emc::ckt {
 
+/// Committed samples of one travelling wave at the fixed engine step,
+/// indexed from the first sample ever pushed. A query never reaches back
+/// further than the line's longest delay, so once more than twice the
+/// `window` the owner passes are stored, the front is trimmed in place;
+/// `dropped_` keeps indices absolute, so a read is bit-identical to one
+/// from the untrimmed history and the storage stays bounded by the delay,
+/// not by the record length.
+class WaveHistory {
+ public:
+  /// Replace the history with one sample (the DC pre-history).
+  void seed(double w);
+  /// Append a sample; keep at least the newest `window` samples.
+  void push(double w, std::size_t window);
+  void clear();
+  bool empty() const { return s_.empty(); }
+  /// Samples currently stored.
+  std::size_t stored() const { return s_.size(); }
+  /// Value at fractional sample index u: linear interpolation, clamped to
+  /// the first and the last sample (0 while empty). Throws
+  /// std::logic_error when u lies in the trimmed part.
+  double at(double u) const;
+
+ private:
+  std::vector<double> s_;
+  std::size_t dropped_ = 0;
+};
+
 /// Lossless single line between port (ap, am) and port (bp, bm).
 /// At DC it behaves as a (near-ideal) short between the corresponding
 /// terminals so the operating point is well defined.
@@ -30,15 +57,18 @@ class IdealLine : public Device {
 
   void start_step(const SimState& st) override;
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper& s, const SimState& st) const override;
   void commit(const SimState& st) override;
   void post_dc(const SimState& st) override;
   void reset() override;
 
   double z0() const { return z0_; }
   double td() const { return td_; }
+  /// Samples held by the larger of the two wave histories.
+  std::size_t history_samples() const;
 
  private:
-  double wave_at(const std::vector<double>& hist, double t) const;
+  double wave_at(const WaveHistory& hist, double t) const;
 
   int ap_, am_, bp_, bm_;
   double z0_, td_;
@@ -48,7 +78,8 @@ class IdealLine : public Device {
   // end, sampled at the fixed engine step.
   double hist_t0_ = 0.0;
   double hist_dt_ = 0.0;
-  std::vector<double> wave_a_, wave_b_;
+  std::size_t window_ = 0;  // samples each history keeps readable at this dt
+  WaveHistory wave_a_, wave_b_;
   double ea_ = 0.0, eb_ = 0.0;  // incident terms for the step being solved
 };
 
@@ -80,6 +111,7 @@ class ModalLineSegment : public Device {
 
   void start_step(const SimState& st) override;
   void stamp(Stamper& s, const SimState& st) const override;
+  void stamp_rhs(Stamper& s, const SimState& st) const override;
   void commit(const SimState& st) override;
   void post_dc(const SimState& st) override;
   void reset() override;
@@ -91,10 +123,14 @@ class ModalLineSegment : public Device {
   double modal_td(std::size_t m) const { return tdm_[m]; }
   /// Physical characteristic admittance matrix Y_c [S].
   const linalg::Matrix& char_admittance() const { return y_; }
+  /// Samples held by the largest of the modal wave histories.
+  std::size_t history_samples() const;
 
  private:
-  double wave_at(const std::vector<double>& hist, double t) const;
-  std::vector<double> modal_voltages(const SimState& st, const std::vector<int>& nodes) const;
+  double wave_at(const WaveHistory& hist, double t) const;
+  /// vm = tv_inv * v(nodes), written into `vm`.
+  void modal_voltages(const SimState& st, const std::vector<int>& nodes,
+                      std::vector<double>& vm);
 
   std::vector<int> na_, nb_;
   std::size_t n_;
@@ -105,9 +141,12 @@ class ModalLineSegment : public Device {
 
   double hist_t0_ = 0.0;
   double hist_dt_ = 0.0;
-  std::vector<std::vector<double>> wave_a_, wave_b_;  // per mode
-  std::vector<double> ja_, jb_;                       // companion current sources
-  std::vector<double> ea_, eb_;                       // modal incident terms
+  std::size_t window_ = 0;  // samples each history keeps readable at this dt
+  std::vector<WaveHistory> wave_a_, wave_b_;  // per mode
+  std::vector<double> ja_, jb_;               // companion current sources
+  std::vector<double> ea_, eb_;               // modal incident terms
+  // Per-step scratch, sized once at construction.
+  std::vector<double> tmp_, vma_, vmb_;
 };
 
 /// Handle to a lossy coupled line built into a circuit.

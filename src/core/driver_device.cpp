@@ -65,9 +65,11 @@ void DriverDevice::stamp(ckt::Stamper& s, const ckt::SimState& st) const {
     s.nonlinear_current(pad_, 0, i0, std::max(g, 1e-9), v);
     return;
   }
-  double dh = 0.0, dl = 0.0;
-  const double ih = run_h_.peek(v, &dh);
-  const double il = run_l_.peek(v, &dl);
+  // A submodel with weight exactly 0 contributes nothing: the steady
+  // weights are (1, 0) and (0, 1). commit() still steps both.
+  double ih = 0.0, il = 0.0, dh = 0.0, dl = 0.0;
+  if (wh_ != 0.0) ih = run_h_.peek(v, &dh);
+  if (wl_ != 0.0) il = run_l_.peek(v, &dl);
   const double i = wh_ * ih + wl_ * il;
   const double g = wh_ * dh + wl_ * dl;
   // A tiny conductance floor keeps the pad node well defined even when

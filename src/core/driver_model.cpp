@@ -11,7 +11,11 @@ double PwRbfDriverModel::submodel_current(bool high, std::span<const double> v_h
                                           std::span<const double> i_hist,
                                           double* d_dv) const {
   const ident::RbfModel& f = high ? f_high : f_low;
-  std::vector<double> reg(static_cast<std::size_t>(orders.regressor_size()));
+  const auto size = static_cast<std::size_t>(orders.regressor_size());
+  if (size > ident::RbfModel::kMaxInputDim)
+    throw std::invalid_argument("PwRbfDriverModel: regressor longer than the RBF input cap");
+  double buf[ident::RbfModel::kMaxInputDim];
+  const std::span<double> reg(buf, size);
   ident::fill_narx_regressor(v_hist, i_hist, orders, reg);
   return d_dv ? f.eval_with_grad(reg, 0, d_dv) : f.eval(reg);
 }
@@ -49,7 +53,10 @@ void SubmodelState::push_front(std::vector<double>& h, double value) {
 }
 
 double SubmodelState::peek(double v, double* d_dv) const {
-  std::vector<double> vh(v_hist_.size());
+  // v_hist_ holds nv + 1 <= regressor_size() samples, which
+  // submodel_current caps at the RBF input limit.
+  double buf[ident::RbfModel::kMaxInputDim];
+  const std::span<double> vh(buf, std::min(v_hist_.size(), ident::RbfModel::kMaxInputDim));
   vh[0] = v;
   for (std::size_t j = 1; j < vh.size(); ++j) vh[j] = v_hist_[j - 1];
   return m_->submodel_current(high_, vh, i_hist_, d_dv);

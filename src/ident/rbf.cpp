@@ -31,9 +31,11 @@ double RbfModel::eval_with_grad(std::span<const double> x, std::size_t idx,
                                 double* grad) const {
   const std::size_t d = scaler_.dim();
   if (x.size() != d) throw std::invalid_argument("RbfModel::eval: input size mismatch");
+  if (grad && idx >= d)
+    throw std::invalid_argument("RbfModel::eval_with_grad: gradient index out of range");
 
-  double zbuf[64];
-  if (d > 64) throw std::invalid_argument("RbfModel::eval: input dimension > 64");
+  double zbuf[kMaxInputDim];
+  if (d > kMaxInputDim) throw std::invalid_argument("RbfModel::eval: input dimension > 64");
   std::span<double> z(zbuf, d);
   scaler_.transform_row(x, z);
 

@@ -26,7 +26,12 @@ class RbfModel {
 
   /// Output and the partial derivative d y / d x[idx] (raw input space);
   /// needed by the circuit coupling, where Newton requires d i / d v(k).
+  /// Throws std::invalid_argument when grad is set and idx >= input_dim().
   double eval_with_grad(std::span<const double> x, std::size_t idx, double* grad) const;
+
+  /// Largest input dimension eval() accepts; callers may size stack
+  /// buffers for a regressor by it.
+  static constexpr std::size_t kMaxInputDim = 64;
 
   std::size_t num_basis() const { return weights_.size(); }
   std::size_t input_dim() const { return scaler_.dim(); }

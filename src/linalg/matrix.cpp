@@ -66,15 +66,20 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
 }
 
 std::vector<double> Matrix::apply(std::span<const double> x) const {
-  if (x.size() != cols_) throw std::invalid_argument("Matrix::apply: size mismatch");
   std::vector<double> y(rows_, 0.0);
+  apply(x, y);
+  return y;
+}
+
+void Matrix::apply(std::span<const double> x, std::span<double> y) const {
+  if (x.size() != cols_ || y.size() != rows_)
+    throw std::invalid_argument("Matrix::apply: size mismatch");
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     const double* p = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) acc += p[c] * x[c];
     y[r] = acc;
   }
-  return y;
 }
 
 std::string Matrix::to_string() const {

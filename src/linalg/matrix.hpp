@@ -60,6 +60,10 @@ class Matrix {
   /// Matrix * vector.
   std::vector<double> apply(std::span<const double> x) const;
 
+  /// Matrix * vector into caller storage: y.size() == rows(), and y must
+  /// not alias x.
+  void apply(std::span<const double> x, std::span<double> y) const;
+
   /// Human-readable dump (testing / debugging aid).
   std::string to_string() const;
 

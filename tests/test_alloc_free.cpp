@@ -1,0 +1,141 @@
+// The per-step transient path allocates nothing: a counting global
+// operator new (this binary only) brackets the PW-RBF evaluation, the
+// driver stamp and whole Fig. 3 emission-corner transients. A per-step
+// heap allocation shows as a count that grows with the step count.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "circuit/devices_linear.hpp"
+#include "circuit/engine.hpp"
+#include "circuit/netlist.hpp"
+#include "circuit/stampers.hpp"
+#include "circuit/tline.hpp"
+#include "core/circuit_dut.hpp"
+#include "core/driver_device.hpp"
+#include "core/driver_estimator.hpp"
+#include "devices/reference_driver.hpp"
+#include "signal/sample_sink.hpp"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ckt = emc::ckt;
+namespace core = emc::core;
+
+namespace {
+
+long allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+class AllocFree : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    model_ = new core::PwRbfDriverModel(
+        core::estimate_driver_model(core::CircuitDriverDut(emc::dev::DriverTech::md3_ibm25())));
+  }
+  static void TearDownTestSuite() {
+    delete model_;
+    model_ = nullptr;
+  }
+
+  /// Allocations made by one Fig. 3 MD3 emission-corner transient of
+  /// `steps` steps (as in PortReduced.Fig3EmissionCornerMatchesReference)
+  /// streamed into a NullSink, circuit construction included.
+  static long corner_allocations(std::size_t steps) {
+    const long before = allocations();
+    {
+      const std::string active = "0110100111010010";
+      ckt::Circuit c;
+      const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node();
+      ckt::CoupledLineParams p;
+      p.l = emc::linalg::Matrix{{466e-9, 66e-9}, {66e-9, 466e-9}};
+      p.c = emc::linalg::Matrix{{66e-12, -6.6e-12}, {-6.6e-12, 66e-12}};
+      p.length = 0.1;
+      p.loss.rdc = 66.0;
+      p.loss.rskin = 1.6e-3;
+      p.loss.tan_delta = 0.001;
+      ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, p, model_->ts);
+      c.add<ckt::Capacitor>(b1, 0, 1e-12);
+      c.add<ckt::Capacitor>(b2, 0, 1e-12);
+      c.add<core::DriverDevice>(a1, *model_, active, 1e-9);
+      c.add<core::DriverDevice>(a2, *model_, std::string(active.size(), '0'), 1e-9);
+
+      ckt::TransientOptions opt;
+      opt.dt = model_->ts;
+      opt.t_stop = opt.dt * static_cast<double>(steps);
+      ckt::NewtonWorkspace ws;
+      emc::sig::NullSink sink;
+      const std::vector<int> probes{a1, b1, b2};
+      ckt::run_transient_streamed(c, opt, ws, probes, sink);
+    }
+    return allocations() - before;
+  }
+
+  static core::PwRbfDriverModel* model_;
+};
+
+core::PwRbfDriverModel* AllocFree::model_ = nullptr;
+
+TEST_F(AllocFree, PwRbfEvaluationAndDriverStamp) {
+  const core::PwRbfDriverModel& m = *model_;
+  const std::vector<double> v_hist(static_cast<std::size_t>(m.orders.nv) + 1, 1.2);
+  const std::vector<double> i_hist(static_cast<std::size_t>(m.orders.ni), -0.01);
+  core::SubmodelState sub(m, true, 1.2);
+
+  // "01" switches at 1 ns, so the steps below cover the steady weights
+  // (one submodel skipped) and the transition (both evaluated).
+  core::DriverDevice drv(1, m, "01", 1e-9);
+  std::vector<double> x(1, 0.0), rhs(1, 0.0);
+  emc::linalg::Matrix g(1, 1);
+  ckt::DenseStamper st(g, rhs);
+  drv.reset();
+  drv.post_dc(ckt::SimState{x, x, 0.0, 0.0, true, 1.0});
+
+  double sink = 0.0;
+  const long before = allocations();
+  for (int k = 0; k < 3; ++k) {
+    double d = 0.0;
+    sink += m.submodel_current(k % 2 == 0, v_hist, i_hist, &d) + d;
+    sink += m.submodel_current(k % 2 == 0, v_hist, i_hist);
+    sink += sub.peek(1.1, &d) + sub.peek(1.3) + d;
+    sink += sub.step(1.2, &d);
+  }
+  for (int k = 1; k <= 120; ++k) {
+    const double t = m.ts * k;
+    x[0] = 1.5 + 0.01 * k;
+    const ckt::SimState state{x, x, t, m.ts, false, 1.0};
+    drv.start_step(state);
+    drv.stamp(st, state);
+    drv.commit(state);
+  }
+  const long made = allocations() - before;
+  EXPECT_EQ(made, 0);
+  EXPECT_TRUE(std::isfinite(sink + g(0, 0) + rhs[0]));
+}
+
+TEST_F(AllocFree, Fig3CornerTransientStepsAllocateNothing) {
+  corner_allocations(40);  // first-use setup: metric registry, trace tables
+  const long short_run = corner_allocations(400);
+  const long long_run = corner_allocations(1200);
+  EXPECT_EQ(long_run - short_run, 0) << "allocations per step: "
+                                     << static_cast<double>(long_run - short_run) / 800.0;
+}
+
+}  // namespace

@@ -318,12 +318,46 @@ TEST(LinearFastPath, DcOperatingPointOfLinearDivider) {
 
 // --------------------------------------------------- linear-device contract
 
+namespace {
+
+/// Counts matrix entries and accumulates the right-hand side.
+class RhsProbe final : public ckt::Stamper {
+ public:
+  explicit RhsProbe(std::vector<double>& rhs) : rhs_(rhs) {}
+  void g(int, int, double) override { ++g_calls; }
+  void rhs(int row_id, double val) override {
+    if (row_id != 0) rhs_[static_cast<std::size_t>(row_id) - 1] += val;
+  }
+  int g_calls = 0;
+
+ private:
+  std::vector<double>& rhs_;
+};
+
+/// Device::stamp_rhs of `dev` at `st` against its full stamp: a bit-equal
+/// right-hand side and not one matrix entry.
+void expect_rhs_only(const ckt::Device& dev, const ckt::SimState& st, std::size_t size,
+                     const std::string& where) {
+  std::vector<double> full(size, 0.0), only(size, 0.0);
+  emc::linalg::Matrix g(size, size);
+  ckt::DenseStamper st_full(g, full);
+  dev.stamp(st_full, st);
+  RhsProbe probe(only);
+  dev.stamp_rhs(probe, st);
+  EXPECT_EQ(probe.g_calls, 0) << where;
+  EXPECT_EQ(std::memcmp(full.data(), only.data(), size * sizeof(double)), 0) << where;
+}
+
+}  // namespace
+
 TEST(LinearDeviceContract, MatrixFixedAfterStartStepRhsIndependentOfCandidate) {
   // The port-reduced path factors the linear devices' matrix once, right
   // after the first start_step, and re-stamps only their right-hand side
-  // each step. That is sound only if, for every linear device type, the
-  // matrix stamped at step 1 is bit-equal to the one at step N and the
-  // rhs ignores the candidate x.
+  // each step through Device::stamp_rhs. That is sound only if, for every
+  // linear device type, the matrix stamped at step 1 is bit-equal to the
+  // one at step N, the rhs ignores the candidate x, and stamp_rhs writes
+  // exactly stamp's rhs (DC included: a linear circuit's operating point
+  // takes the same path) and no matrix entry.
   constexpr double dt = 25e-12;
   ckt::Circuit c;
   std::vector<int> n;
@@ -357,6 +391,10 @@ TEST(LinearDeviceContract, MatrixFixedAfterStartStepRhsIndependentOfCandidate) {
   std::vector<double> x_prev(size), x_other(size), rhs_a(size), rhs_b(size);
   for (std::size_t i = 0; i < size; ++i) x_prev[i] = 0.1 * std::sin(0.7 * double(i));
   for (const auto& dev : devs) dev->reset();
+  for (std::size_t d = 0; d < devs.size(); ++d)
+    expect_rhs_only(*devs[d], ckt::SimState{x_prev, x_prev, 0.0, 0.0, true, 0.5}, size,
+                    std::string("dc, device ") + std::to_string(d) + " (" +
+                        typeid(*devs[d]).name() + ")");
 
   for (int k = 1; k <= 60; ++k) {
     const double t = dt * k;
@@ -375,6 +413,9 @@ TEST(LinearDeviceContract, MatrixFixedAfterStartStepRhsIndependentOfCandidate) {
       if (k == 1) first[d] = g_a;
       ASSERT_EQ(std::memcmp(first[d].data(), g_a.data(), size * size * sizeof(double)), 0)
           << "device " << d << " (" << type << ") step " << k;
+      expect_rhs_only(*devs[d], ckt::SimState{x_prev, x_prev, t, dt, false, 1.0}, size,
+                      "device " + std::to_string(d) + " (" + type + ") step " +
+                          std::to_string(k));
     }
     // Commit a moving state so every history term changes.
     for (std::size_t i = 0; i < size; ++i) x_other[i] = x_prev[i] + 0.05 * std::sin(double(3 * k + i));
@@ -706,5 +747,66 @@ TEST(PortReduced, LinearLadderBitIdenticalToCachedLuRecord) {
     EXPECT_EQ(run.stats.total_newton_iters, run.stats.steps);
     EXPECT_EQ(run.stats.dc_newton_iters, 5);  // one solve per gmin stage
     EXPECT_EQ(run.ports, 0u);
+  }
+}
+
+namespace {
+
+/// A repeating 0 -> 3.3 V -> 0 ramp into the Fig. 3 coupled lossy line
+/// (quiet conductor terminated in 50 ohm), both far ends capacitively
+/// loaded, and an ideal line from one far end into a third load.
+ckt::CoupledLineHandle build_coupled_ramp(ckt::Circuit& c, ckt::IdealLine*& tail) {
+  const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node(), d = c.node();
+  c.add<ckt::VSource>(a1, 0, [](double t) {
+    const double ph = std::fmod(t, 4e-9);
+    return ph < 2e-9 ? 3.3 * ph / 2e-9 : 3.3 * (4e-9 - ph) / 2e-9;
+  });
+  c.add<ckt::Resistor>(a2, 0, 50.0);
+  const auto line = ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, fig3_line(), 25e-12);
+  c.add<ckt::Capacitor>(b1, 0, 2e-12);
+  c.add<ckt::Capacitor>(b2, 0, 2e-12);
+  tail = &c.add<ckt::IdealLine>(b1, 0, d, 0, 50.0, 0.3e-9);
+  c.add<ckt::Capacitor>(d, 0, 1e-12);
+  return line;
+}
+
+}  // namespace
+
+TEST(PortReduced, CoupledLineRecordBitIdenticalWithBoundedHistory) {
+  // Line wave histories are trimmed once they hold twice their delay
+  // window (floor(td_max/dt) + 3 samples). Over a run more than 25x the
+  // longest modal delay of the whole line the trim fires many times, and the
+  // record stays bit-identical to the one the untrimmed, whole-run
+  // histories produced (FNV-1a as for the ladder above).
+  ckt::TransientOptions opt;
+  opt.dt = 25e-12;
+  opt.t_stop = 16e-9;
+  const std::pair<ckt::SolverKind, std::uint64_t> expected[] = {
+      {ckt::SolverKind::kDense, 0xe87cbb3548fdaf10ull},
+      {ckt::SolverKind::kSparse, 0xd955d86b5d532f9bull},
+  };
+  const auto bound = [&](double td_max) {
+    return 2 * (static_cast<std::size_t>(std::floor(td_max / opt.dt)) + 3);
+  };
+  for (const auto& [solver, hash] : expected) {
+    const int s = static_cast<int>(solver);
+    ckt::Circuit c;
+    ckt::IdealLine* tail = nullptr;
+    const auto line = build_coupled_ramp(c, tail);
+    opt.solver = solver;
+    ckt::NewtonWorkspace ws;
+    const auto res = ckt::run_transient(c, opt, ws);
+    EXPECT_EQ(fnv1a(res.data()), hash) << "solver " << s;
+    EXPECT_EQ(res.stats.total_newton_iters, res.stats.steps) << "solver " << s;
+
+    ASSERT_EQ(line.segments.size(), 16u);
+    for (const ckt::ModalLineSegment* seg : line.segments) {
+      double td_max = 0.0;
+      for (std::size_t m = 0; m < seg->modes(); ++m) td_max = std::max(td_max, seg->modal_td(m));
+      EXPECT_LE(seg->history_samples(), bound(td_max)) << "solver " << s;
+      EXPECT_GE(seg->history_samples(), bound(td_max) / 2) << "solver " << s;
+    }
+    EXPECT_LE(tail->history_samples(), bound(tail->td())) << "solver " << s;
+    EXPECT_LT(bound(tail->td()), static_cast<std::size_t>(res.stats.steps) / 20);
   }
 }

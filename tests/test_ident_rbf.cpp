@@ -243,6 +243,13 @@ TEST(RbfFit, GradientMatchesFiniteDifference) {
                       (2.0 * h);
     EXPECT_NEAR(grad, fd, 1e-4 * std::max(1.0, std::abs(fd))) << "v = " << v;
   }
+  // A gradient index past the input would read past the scaled regressor
+  // and the scaler; it is rejected before any work. Without a gradient
+  // the index is unused.
+  double grad = 0.0;
+  EXPECT_THROW(m.eval_with_grad(std::vector<double>{0.1}, 1, &grad), std::invalid_argument);
+  EXPECT_EQ(m.eval_with_grad(std::vector<double>{0.1}, 1, nullptr),
+            m.eval(std::vector<double>{0.1}));
 }
 
 TEST(RbfFit, AutoSigmaNotWorseThanFixed) {

@@ -199,7 +199,9 @@ TEST(ThreadPool, WorkerAccountingIsConsistent) {
     // report's busy_fraction field relies on.
     const std::uint64_t total = ws.busy_ns + ws.idle_ns;
     EXPECT_LE(ws.busy_ns, total);
-    if (ws.items > 0) EXPECT_GT(ws.busy_ns, 0u) << "worker " << w;
+    if (ws.items > 0) {
+      EXPECT_GT(ws.busy_ns, 0u) << "worker " << w;
+    }
   }
   EXPECT_EQ(items, static_cast<std::uint64_t>(kN) * kEpochs);
   // Every worker observed the same epochs, so their wall totals agree up
