@@ -314,13 +314,11 @@ EmiScan EmiScanner::measure(const ReceiverSettings& s, std::span<const double> f
     i = j;
   }
 
-  // Detector readings in dBuV of the RMS of the equivalent sine at
-  // readout, as an EMI receiver is calibrated.
   for (std::size_t p = 0; p < tasks_.size(); ++p) {
     out.freq.push_back(tasks_[p].fc);
-    out.peak_dbuv.push_back(volts_to_dbuv(readings_[p].peak / std::numbers::sqrt2));
-    out.quasi_peak_dbuv.push_back(volts_to_dbuv(readings_[p].qp / std::numbers::sqrt2));
-    out.average_dbuv.push_back(volts_to_dbuv(readings_[p].avg / std::numbers::sqrt2));
+    out.peak_dbuv.push_back(envelope_dbuv(readings_[p].peak));
+    out.quasi_peak_dbuv.push_back(envelope_dbuv(readings_[p].qp));
+    out.average_dbuv.push_back(envelope_dbuv(readings_[p].avg));
   }
 
   c_scans.add();
@@ -328,6 +326,10 @@ EmiScan EmiScanner::measure(const ReceiverSettings& s, std::span<const double> f
   c_ref.add(out.reference_points);
   c_skipped.add(out.skipped_points);
   return out;
+}
+
+double EmiScanner::envelope_dbuv(double envelope_volts) {
+  return volts_to_dbuv(envelope_volts / std::numbers::sqrt2);
 }
 
 EmiScan emi_scan(const sig::Waveform& w, const ReceiverSettings& s) {

@@ -46,6 +46,8 @@ struct ReceiverSettings {
   double tau_discharge = 0.0;    ///< quasi-peak discharge time constant [s]
   ScanMethod method = ScanMethod::kAuto;  ///< envelope demodulation path
 
+  bool operator==(const ReceiverSettings&) const = default;
+
   /// CISPR 16 band A (9-150 kHz): RBW 200 Hz, QP 45 ms / 500 ms.
   static ReceiverSettings cispr_band_a();
   /// CISPR 16 band B (150 kHz-30 MHz): RBW 9 kHz, QP 1 ms / 160 ms.
@@ -105,6 +107,13 @@ std::vector<double> make_log_grid(double f_lo, double f_hi, std::size_t n);
 /// own instance.
 class EmiScanner {
  public:
+  /// Detector readings of one scan point in envelope volts (not yet dBuV).
+  struct Readings {
+    double peak = 0.0;
+    double qp = 0.0;
+    double avg = 0.0;
+  };
+
   /// Run the swept measurement. Per-frequency buffers are reused across
   /// the scan and across calls. Scan frequencies at or above the record's
   /// Nyquist rate are dropped and counted in EmiScan::skipped_points.
@@ -130,6 +139,18 @@ class EmiScanner {
   /// Throws when no record is loaded or a frequency is non-positive.
   EmiScan measure(const ReceiverSettings& s, std::span<const double> freqs);
 
+  /// The detector readings of the last scan()/measure(), one per point of
+  /// the EmiScan it returned, in the same order; overwritten by the next
+  /// call. Every detector is positively homogeneous (peak is a max, the
+  /// quasi-peak branch test env > qp is scale-free, average is a mean), so
+  /// envelope_dbuv(a * reading) is the reading of a scan of a * record,
+  /// up to rounding, for any a > 0.
+  std::span<const Readings> readings() const { return readings_; }
+
+  /// dBuV of an envelope reading: the RMS of the equivalent sine at
+  /// readout, as an EMI receiver is calibrated, floored at -120 dBuV.
+  static double envelope_dbuv(double envelope_volts);
+
  private:
   /// One scan point: its carrier and the occupied bin range (inclusive;
   /// k_lo > k_hi when the Gaussian window covers no positive bin).
@@ -137,12 +158,6 @@ class EmiScanner {
     double fc = 0.0;
     std::size_t k_lo = 1;
     std::size_t k_hi = 0;
-  };
-  /// Detector readings in envelope volts (not yet dBuV).
-  struct Readings {
-    double peak = 0.0;
-    double qp = 0.0;
-    double avg = 0.0;
   };
   /// Per-scan constants shared by both demodulation paths.
   struct ScanCtx {

@@ -220,8 +220,16 @@ class Parser {
   Json value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // The parser recurses once per level: bound it, or a corrupt file
+        // of '[' bytes overflows the stack instead of failing to parse.
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        Json v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return Json::string(string_body());
       case 't':
         if (!consume_word("true")) fail("bad literal");
@@ -362,8 +370,11 @@ class Parser {
     return Json::number(d);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

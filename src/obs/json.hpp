@@ -62,7 +62,7 @@ class Json {
   /// dump() emits plus \/, \b, \f, \r and \uXXXX, numbers, booleans,
   /// null). Numbers without '.', 'e' or 'E' that fit a long parse as
   /// kInteger, everything else as kNumber. Throws JsonParseError on
-  /// malformed input or trailing garbage.
+  /// malformed input, trailing garbage or nesting deeper than 512 levels.
   static Json parse(std::string_view text);
 
   /// Read and parse a file. Throws std::runtime_error when the file

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -14,8 +15,16 @@ std::string exact_double(double v) {
 }
 
 double parse_exact(const obs::Json& j) {
-  if (j.is_string()) return std::strtod(j.as_string().c_str(), nullptr);
-  return j.as_double();
+  if (!j.is_string()) return j.as_double();
+  const std::string& s = j.as_string();
+  // strtod skips leading whitespace and stops at the first character it
+  // cannot use; exact_double writes neither, so only a full match is valid.
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+      end != s.c_str() + s.size())
+    throw std::invalid_argument("parse_exact: not a number: \"" + s + "\"");
+  return v;
 }
 
 std::string dump_line(const obs::Json& j) {

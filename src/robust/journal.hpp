@@ -23,6 +23,8 @@ namespace emc::robust {
 std::string exact_double(double v);
 
 /// Read a value written by exact_double (a string) or a plain Json number.
+/// Throws std::invalid_argument unless strtod consumes the whole non-empty
+/// string ("inf", "-inf" and "nan" parse; "abc", "1.5x" and " 1" do not).
 double parse_exact(const obs::Json& j);
 
 /// One-line serialization of a Json tree (dump() pretty-prints; journal

@@ -54,6 +54,7 @@ robust::RetryPolicy emission_retry_policy(const EmissionSweepConfig& cfg) {
 /// land (the only probe).
 int build_emission_circuit(const EmissionSweepConfig& cfg, const Scenario& sc,
                            ckt::Circuit& c) {
+  obs::Span span("build");
   const int a1 = c.node();
   const int a2 = c.node();
   const int b1 = c.node();
@@ -81,29 +82,34 @@ spec::TraceSel detector_trace(Detector d) {
   }
 }
 
-/// Supply scaling + receiver scan + mask check of one steady record: the
-/// post-transient tail of the corner pipeline, pure in (record, scenario).
-/// `counts` receives the corner's scan accounting (detector passes spent,
-/// adaptive refined points, certified crossings).
+/// Receiver scan + supply scaling + mask check of the worker's memo
+/// record: the post-transient tail of the corner pipeline, pure in
+/// (record, scenario). `counts` receives the corner's scan accounting
+/// (detector passes scored, adaptive refined points, certified crossings).
+///
+/// First-order supply corner: emission levels scale ~linearly with VDD.
+/// The fixed plan scans the unscaled record once per receiver setting
+/// (the Workspace scan slot) and multiplies each corner's readings by
+/// vdd_scale in volts before the dBuV conversion, so the -120 dBuV floor
+/// applies after scaling, as in a scan of the scaled record. By
+/// homogeneity (EmiScanner::readings) the two agree up to rounding.
 spec::ComplianceReport post_process_corner(const EmissionSweepConfig& cfg,
-                                           const Scenario& sc,
-                                           const sig::Waveform& steady_record,
-                                           spec::EmiScanner& scanner,
+                                           const Scenario& sc, Workspace& ws,
                                            ScanCounts& counts) {
-  // First-order supply corner: emission levels scale ~linearly with VDD.
-  sig::Waveform record = steady_record;
-  record *= sc.vdd_scale;
-
   spec::ReceiverSettings rx = cfg.rx;
   rx.rbw = sc.rbw;
   counts = ScanCounts{};
 
   if (cfg.scan_plan == spec::ScanPlan::kAdaptive) {
-    // Coarse pass + certified refinement: the crossing brackets are
-    // already folded into the merged scan, so the report flows through
-    // the same check_compliance machinery as the fixed plan.
+    // Coarse pass + certified refinement: where it refines depends on
+    // where the *scaled* trace crosses the mask, so it scans the scaled
+    // record. The crossing brackets are already folded into the merged
+    // scan, so the report flows through the same check_compliance
+    // machinery as the fixed plan.
+    sig::Waveform record = ws.memo_record;
+    record *= sc.vdd_scale;
     const spec::CertifiedScan cs =
-        spec::adaptive_scan(scanner, record, rx, cfg.mask, detector_trace(sc.detector),
+        spec::adaptive_scan(ws.scanner, record, rx, cfg.mask, detector_trace(sc.detector),
                             cfg.adaptive, sc.label());
     counts.refined_points = cs.refined_points;
     counts.detector_passes = cs.detector_passes;
@@ -111,18 +117,26 @@ spec::ComplianceReport post_process_corner(const EmissionSweepConfig& cfg,
     return cs.report;
   }
 
-  const auto scan = scanner.scan(record, rx);
-  counts.detector_passes = scan.size();
-  const std::vector<double>* trace = nullptr;
-  switch (sc.detector) {
-    case Detector::kPeak: trace = &scan.peak_dbuv; break;
-    case Detector::kQuasiPeak: trace = &scan.quasi_peak_dbuv; break;
-    case Detector::kAverage: trace = &scan.average_dbuv; break;
+  if (ws.scan_rx != rx) {
+    ws.scan = ws.scanner.scan(ws.memo_record, rx);
+    const auto volts = ws.scanner.readings();
+    ws.scan_volts.assign(volts.begin(), volts.end());
+    ws.scan_rx = rx;
   }
+  using Readings = spec::EmiScanner::Readings;
+  double Readings::*reading = &Readings::avg;
+  if (sc.detector == Detector::kPeak) reading = &Readings::peak;
+  if (sc.detector == Detector::kQuasiPeak) reading = &Readings::qp;
+  std::vector<double> level(ws.scan_volts.size());
+  for (std::size_t p = 0; p < level.size(); ++p)
+    level[p] = spec::EmiScanner::envelope_dbuv(sc.vdd_scale * (ws.scan_volts[p].*reading));
+  counts.detector_passes = level.size();
+
+  obs::Span span("mask");
   // A scan truncated at the record's Nyquist rate must not silently
   // pass the mask — carry the dropped-point count into the report.
-  return spec::check_compliance(scan.freq, *trace, cfg.mask, sc.label(),
-                                scan.skipped_points);
+  return spec::check_compliance(ws.scan.freq, level, cfg.mask, sc.label(),
+                                ws.scan.skipped_points);
 }
 
 void validate_emission_config(const EmissionSweepConfig& cfg, const char* who) {
@@ -438,7 +452,9 @@ obs::Json corner_journal_json(const CornerResult& r) {
   return o;
 }
 
-CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid) {
+namespace {
+
+CornerResult restore_corner(const obs::Json& entry, const CornerGrid& grid) {
   const std::size_t index = journal_count(entry.at("index"), "index");
   if (index >= grid.size())
     throw std::invalid_argument("corner_from_journal: index past the grid");
@@ -486,6 +502,21 @@ CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid)
   if (!r.report.points.empty() && r.report.worst_index >= r.report.points.size())
     throw std::invalid_argument("corner_from_journal: worst_index outside points");
   return r;
+}
+
+}  // namespace
+
+CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid) {
+  try {
+    return restore_corner(entry, grid);
+  } catch (const std::invalid_argument&) {
+    throw;
+  } catch (const std::logic_error& e) {
+    // obs::Json's accessors throw logic_error (out_of_range for an array
+    // index) on a missing field or a field of the wrong kind.
+    throw std::invalid_argument(std::string("corner_from_journal: malformed entry: ") +
+                                e.what());
+  }
 }
 
 obs::Json corner_result_json(const CornerResult& r) {
@@ -573,11 +604,12 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
       ws.memo = std::move(memo);
       ws.memo_record = std::move(record);
       ws.memo_key = std::move(memo_key);
+      ws.scan_rx.reset();
     }
 
     CornerResult r = ws.memo;
     r.transient_reused = hit;
-    r.report = post_process_corner(cfg, sc, ws.memo_record, ws.scanner, r.scan);
+    r.report = post_process_corner(cfg, sc, ws, r.scan);
     return r;
   };
 }

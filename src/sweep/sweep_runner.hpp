@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -42,7 +43,9 @@ namespace emc::sweep {
 /// scan depends on the full corner, not just the transient memo key), so
 /// it rides the summary without perturbing the determinism contract.
 /// Fixed-plan corners report their grid size as detector_passes with
-/// refined_points == 0.
+/// refined_points == 0: the points the corner was scored on, even when
+/// its readings came from a scan shared with other corners (the points
+/// actually demodulated are the spec.scan.* counters).
 struct ScanCounts {
   std::size_t refined_points = 0;
   std::size_t detector_passes = 0;
@@ -113,12 +116,22 @@ struct CornerResult {
 /// would and cannot perturb the sweep's determinism contract. Corners
 /// sharing a key are adjacent in grid order (see AxisId); claim them as
 /// one chunk to make the memo hit.
+///
+/// scan_rx/scan/scan_volts are a single-entry scan slot over memo_record:
+/// the receiver settings of its last fixed-plan scan (empty after a memo
+/// miss), that scan and its detector readings in envelope volts
+/// (EmiScanner::readings). The emission pipeline scores every supply and
+/// detector corner of one receiver setting from it; AxisId orders kRbw
+/// before kVddScale and kDetector, so those corners are adjacent too.
 struct Workspace {
   ckt::NewtonWorkspace newton;
   spec::EmiScanner scanner;
   std::string memo_key;
   sig::Waveform memo_record;
   CornerResult memo;
+  std::optional<spec::ReceiverSettings> scan_rx;
+  spec::EmiScan scan;
+  std::vector<spec::EmiScanner::Readings> scan_volts;
 };
 
 /// Fixed-bin histogram of per-corner worst margins; corners outside the
@@ -370,9 +383,10 @@ obs::Json corner_journal_json(const CornerResult& r);
 
 /// Inverse of corner_journal_json on `grid`: the scenario is re-derived
 /// as grid.at(index). Throws std::invalid_argument on malformed entries —
-/// a negative count, an index past the grid, a scenario that is not the
-/// grid's corner at that index (a journal of another grid), or a
-/// worst_index outside a non-empty points list.
+/// a missing field or one of the wrong kind, a double that is not a whole
+/// number string, a negative count, an index past the grid, a scenario
+/// that is not the grid's corner at that index (a journal of another
+/// grid), or a worst_index outside a non-empty points list.
 CornerResult corner_from_journal(const obs::Json& entry, const CornerGrid& grid);
 
 /// Deterministic per-corner record for reports and benches: corner
@@ -438,9 +452,12 @@ struct EmissionSweepConfig {
 ///
 /// The supply axis is applied as a first-order approximation: port
 /// waveforms (and thus emission levels) scale ~linearly with VDD, so the
-/// steady record is multiplied by vdd_scale rather than re-estimating the
-/// macromodel per supply corner. The config is copied into the returned
-/// closure; only `model` is referenced and must outlive it.
+/// detector readings (fixed plan) or the steady record (adaptive plan) are
+/// multiplied by vdd_scale rather than re-estimating the macromodel per
+/// supply corner. The fixed plan scans each (transient, RBW) once per
+/// worker and scores its supply/detector corners from that scan. The
+/// config is copied into the returned closure; only `model` is referenced
+/// and must outlive it.
 CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg);
 
 /// Scheduling chunk for the emission pipeline: corners differing only in

@@ -105,6 +105,75 @@ TEST(EmiZoom, OneScannerHandlesMixedMethodsAndLengths) {
   EXPECT_EQ(b.size(), 25u);
 }
 
+TEST(EmiHomogeneity, ScaledReadingsMatchAScanOfTheScaledRecord) {
+  // Every detector is positively homogeneous, so a scan of a * x reads
+  // a * (the readings of a scan of x), up to rounding. The scaling is done
+  // in volts, before the dBuV conversion, on both demodulation paths.
+  const auto w = busy_record(4096, 64e6);
+  for (const auto method : {spec::ScanMethod::kZoom, spec::ScanMethod::kReference}) {
+    const auto rx = busy_rx(200e3, method);
+    spec::EmiScanner base;
+    const auto scan = base.scan(w, rx);
+    const std::vector<spec::EmiScanner::Readings> r(base.readings().begin(),
+                                                    base.readings().end());
+    ASSERT_EQ(r.size(), scan.size());
+    EXPECT_EQ(method == spec::ScanMethod::kZoom ? scan.zoom_points : scan.reference_points,
+              scan.size());
+    for (std::size_t p = 0; p < scan.size(); ++p) {
+      EXPECT_EQ(spec::EmiScanner::envelope_dbuv(r[p].peak), scan.peak_dbuv[p]);
+      EXPECT_EQ(spec::EmiScanner::envelope_dbuv(r[p].qp), scan.quasi_peak_dbuv[p]);
+      EXPECT_EQ(spec::EmiScanner::envelope_dbuv(r[p].avg), scan.average_dbuv[p]);
+    }
+    for (const double a : {0.5, 0.9, 1.1, 2.0}) {
+      sig::Waveform scaled = w;
+      scaled *= a;
+      spec::EmiScanner other;
+      const auto want = other.scan(scaled, rx);
+      ASSERT_EQ(want.size(), r.size());
+      double worst = 0.0;
+      for (std::size_t p = 0; p < r.size(); ++p) {
+        using spec::EmiScanner;
+        worst = std::max(worst, std::abs(want.peak_dbuv[p] -
+                                         EmiScanner::envelope_dbuv(a * r[p].peak)));
+        worst = std::max(worst, std::abs(want.quasi_peak_dbuv[p] -
+                                         EmiScanner::envelope_dbuv(a * r[p].qp)));
+        worst = std::max(worst, std::abs(want.average_dbuv[p] -
+                                         EmiScanner::envelope_dbuv(a * r[p].avg)));
+      }
+      EXPECT_LE(worst, 1e-9) << "a=" << a << " method=" << static_cast<int>(method);
+    }
+  }
+}
+
+TEST(EmiHomogeneity, FloorPointsStayAtTheFloorUnderScaling) {
+  // df = 15.625 kHz and a 4.5 kHz RBW reaches ~10.8 kHz: the Gaussian
+  // window of a 1 kHz point covers no positive bin, so every detector
+  // reads the -120 dBuV floor. Scaling in volts keeps it there for every
+  // a; adding 20 log10(a) in dB would move it.
+  const auto w = busy_record(4096, 64e6);
+  const auto rx = busy_rx(4.5e3, spec::ScanMethod::kAuto);
+  const double freqs[] = {1e3, 1e6};
+  spec::EmiScanner base;
+  base.load_record(w);
+  const auto scan = base.measure(rx, freqs);
+  ASSERT_EQ(scan.size(), 2u);
+  EXPECT_EQ(scan.zoom_points + scan.reference_points, 1u);
+  const spec::EmiScanner::Readings floor = base.readings()[0];
+  for (const double a : {0.5, 0.9, 1.1, 2.0}) {
+    sig::Waveform scaled = w;
+    scaled *= a;
+    spec::EmiScanner other;
+    other.load_record(scaled);
+    const auto want = other.measure(rx, freqs);
+    for (const double level :
+         {want.peak_dbuv[0], want.quasi_peak_dbuv[0], want.average_dbuv[0],
+          spec::EmiScanner::envelope_dbuv(a * floor.peak),
+          spec::EmiScanner::envelope_dbuv(a * floor.qp),
+          spec::EmiScanner::envelope_dbuv(a * floor.avg)})
+      EXPECT_EQ(level, -120.0) << "a=" << a;
+  }
+}
+
 TEST(EmiScanTruncation, SkippedPointsAreCounted) {
   const auto w = busy_record(4096, 64e6);  // Nyquist 32 MHz
   auto rx = busy_rx(200e3, spec::ScanMethod::kAuto);

@@ -6,6 +6,7 @@
 // the real failure kind it emulates).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -317,6 +318,20 @@ TEST(Journal, ExactDoubleRoundTripsBitForBit) {
   }
   // Plain JSON numbers still decode (for integer-valued fields).
   EXPECT_EQ(robust::parse_exact(obs::Json::number(2.5)), 2.5);
+}
+
+TEST(Journal, ParseExactRejectsStringsStrtodReadsOnlyInPart) {
+  // strtod alone would read "abc" as 0 and "1.5x" as 1.5: a corrupted
+  // journal would restore a made-up margin instead of failing.
+  for (const char* bad : {"abc", "1.5x", "", " 1", "1 ", "1e", "--1", "0x"})
+    EXPECT_THROW(robust::parse_exact(obs::Json::string(bad)), std::invalid_argument)
+        << '"' << bad << '"';
+  // exact_double spells non-finite values inf / -inf / nan; they still parse.
+  EXPECT_EQ(robust::parse_exact(obs::Json::string("inf")), HUGE_VAL);
+  EXPECT_EQ(robust::parse_exact(obs::Json::string("-inf")), -HUGE_VAL);
+  EXPECT_TRUE(std::isnan(robust::parse_exact(obs::Json::string("nan"))));
+  for (double v : {HUGE_VAL, -HUGE_VAL, std::nan("")})
+    EXPECT_NO_THROW(robust::parse_exact(obs::Json::string(robust::exact_double(v))));
 }
 
 TEST(Journal, DumpLineIsSingleLine) {

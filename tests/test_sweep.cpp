@@ -1,9 +1,9 @@
 // Tests of the emc::sweep subsystem: grid enumeration and deterministic
 // PRBS, thread-pool scheduling/exception behavior, worst-margin
 // aggregation, and the determinism contract (1-thread and N-thread sweeps
-// produce bit-identical summaries). The corner functions here are cheap
-// synthetic pipelines (small RC transients, hand-built reports) so the
-// suite never pays for macromodel estimation.
+// produce bit-identical summaries). Most corner functions here are cheap
+// synthetic pipelines (small RC transients, hand-built reports); the
+// emission scan-memo tests run the real pipeline on a small MD3 estimate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +21,11 @@
 #include "circuit/devices_linear.hpp"
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
+#include "core/circuit_dut.hpp"
+#include "core/driver_estimator.hpp"
+#include "devices/reference_driver.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "robust/error.hpp"
 #include "robust/journal.hpp"
 #include "sweep/corner_grid.hpp"
@@ -748,31 +752,62 @@ TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
   // Each row breaks one field of an otherwise valid entry. A worst_index
   // outside points would make summary()/worst_point() read out of bounds;
   // a negative count would wrap to a huge size_t; an index past the grid
-  // or of another corner would restore a verdict under the wrong label.
+  // or of another corner would restore a verdict under the wrong label; an
+  // exact double strtod reads only in part ("abc" as 0, "1.5x" as 1.5)
+  // would restore a made-up margin. A row with a column >= 0 replaces that
+  // column (f, level, limit, margin) of margin point 0 instead of `key`.
   struct Row {
     const char* what;
     bool in_report;
     const char* key;
-    long value;
+    obs::Json value;
+    int column = -1;
   };
+  const auto num = [](long v) { return obs::Json::integer(v); };
+  const auto str = [](const char* v) { return obs::Json::string(v); };
   const Row rows[] = {
-      {"worst_index past points", true, "worst_index", 1},
-      {"negative worst_index", true, "worst_index", -1},
-      {"negative skipped", true, "skipped", -3},
-      {"negative streamed_bytes", false, "streamed_bytes", -1},
-      {"negative monolithic_bytes", false, "monolithic_bytes", -8},
-      {"negative scan_passes", false, "scan_passes", -1},
-      {"negative scan_refined", false, "scan_refined", -2},
-      {"negative scan_crossings", false, "scan_crossings", -5},
-      {"negative index", false, "index", -1},
-      {"index past the grid", false, "index", 2},
-      {"index of another corner", false, "index", 0},
+      {"worst_index past points", true, "worst_index", num(1)},
+      {"negative worst_index", true, "worst_index", num(-1)},
+      {"negative skipped", true, "skipped", num(-3)},
+      {"negative streamed_bytes", false, "streamed_bytes", num(-1)},
+      {"negative monolithic_bytes", false, "monolithic_bytes", num(-8)},
+      {"negative scan_passes", false, "scan_passes", num(-1)},
+      {"negative scan_refined", false, "scan_refined", num(-2)},
+      {"negative scan_crossings", false, "scan_crossings", num(-5)},
+      {"negative index", false, "index", num(-1)},
+      {"index past the grid", false, "index", num(2)},
+      {"index of another corner", false, "index", num(0)},
+      {"worst_margin_db not a number", true, "worst_margin_db", str("abc")},
+      {"worst_margin_db trailing garbage", true, "worst_margin_db", str("1.5x")},
+      {"worst_margin_db empty", true, "worst_margin_db", str("")},
+      {"worst_margin_db leading space", true, "worst_margin_db", str(" -2")},
+      {"worst_margin_db of the wrong kind", true, "worst_margin_db", obs::Json::boolean(true)},
+      {"missing field", false, "solve", obs::Json::object()},
+      {"point f not a number", true, "points", str("abc"), 0},
+      {"point level trailing garbage", true, "points", str("52x"), 1},
+      {"point limit empty", true, "points", str(""), 2},
+      {"point margin half an exponent", true, "points", str("-2e"), 3},
   };
   for (const Row& row : rows) {
     obs::Json bad = good;
     obs::Json& target = row.in_report ? bad.at("report") : bad;
-    target.at(row.key) = obs::Json::integer(row.value);
+    if (row.column >= 0) {
+      const obs::Json& point = good.at("report").at("points")[0];
+      auto cells = obs::Json::array();
+      for (std::size_t c = 0; c < point.size(); ++c)
+        cells.push(c == static_cast<std::size_t>(row.column) ? row.value : point[c]);
+      target.at(row.key) = obs::Json::array().push(std::move(cells));
+    } else {
+      target.at(row.key) = row.value;
+    }
     EXPECT_THROW(corner_from_journal(bad, grid), std::invalid_argument) << row.what;
+  }
+
+  // Non-finite margins still restore: exact_double spells them inf/-inf/nan.
+  for (const char* spelled : {"inf", "-inf", "nan"}) {
+    obs::Json odd = good;
+    odd.at("report").at("worst_margin_db") = str(spelled);
+    EXPECT_NO_THROW(corner_from_journal(odd, grid)) << spelled;
   }
 
   // A whole journal of grid A resumed on an equal-sized grid B: the first
@@ -931,6 +966,170 @@ TEST(SweepRunner, CooperativeStopAbortsJournalsAndResumes) {
   EXPECT_TRUE(ref.summary == res.summary);
 
   std::remove(jpath.c_str());
+}
+
+// ------------------------------------------------------ emission scan memo
+
+/// A small MD3 estimate (6 basis functions per submodel from 60
+/// candidates, short identification records): a real driver for the
+/// emission pipeline at a fraction of a full estimate's cost.
+const core::PwRbfDriverModel& small_md3() {
+  static const core::PwRbfDriverModel model = [] {
+    core::DriverEstimationOptions o;
+    o.max_basis_high = 6;
+    o.max_basis_low = 6;
+    o.rbf.max_candidates = 60;
+    o.n_steps = 40;
+    return core::estimate_driver_model(core::CircuitDriverDut(dev::DriverTech::md3_ibm25()),
+                                       o);
+  }();
+  return model;
+}
+
+/// 2 transients (load_c) x 2 RBW x 2 vdd x 3 detectors on the Fig. 3 line.
+CornerGrid scan_memo_grid() {
+  CornerAxes axes;
+  axes.load_c = {1e-12, 2e-12};
+  axes.rbw = {20e6, 50e6};
+  axes.vdd_scale = {0.9, 1.1};
+  axes.detector = {Detector::kPeak, Detector::kQuasiPeak, Detector::kAverage};
+  axes.pattern_bits = 8;
+  return CornerGrid(axes);
+}
+
+EmissionSweepConfig scan_memo_config(std::size_t n_points) {
+  EmissionSweepConfig cfg;
+  cfg.model = &small_md3();
+  cfg.line.l = linalg::Matrix{{466e-9, 66e-9}, {66e-9, 466e-9}};
+  cfg.line.c = linalg::Matrix{{66e-12, -6.6e-12}, {-6.6e-12, 66e-12}};
+  cfg.line.loss.rdc = 66.0;
+  cfg.rx.name = "memo scan";
+  cfg.rx.f_start = 50e6;
+  cfg.rx.f_stop = 5e9;
+  cfg.rx.n_points = n_points;
+  cfg.rx.tau_charge = 1e-9;
+  cfg.rx.tau_discharge = 30e-9;
+  cfg.mask = {"memo mask", {{50e6, 140.0}, {5e9, 90.0}}};
+  return cfg;
+}
+
+std::uint64_t scan_runs() { return obs::registry().snapshot().value("spec.scan.runs"); }
+
+void expect_same_levels(const CornerResult& x, const CornerResult& y) {
+  ASSERT_EQ(x.report.points.size(), y.report.points.size()) << x.scenario.label();
+  for (std::size_t p = 0; p < x.report.points.size(); ++p)
+    ASSERT_EQ(x.report.points[p].level_dbuv, y.report.points[p].level_dbuv)
+        << x.scenario.label() << " point " << p;
+}
+
+void expect_same_corners(const SweepOutcome& a, const SweepOutcome& b) {
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    EXPECT_EQ(corner_result_json(a.results[i]).dump(0),
+              corner_result_json(b.results[i]).dump(0));
+    expect_same_levels(a.results[i], b.results[i]);
+  }
+}
+
+TEST(EmissionScanMemo, SharedScansAreByteIdenticalAtAnyChunkAndWorkerCount) {
+  const CornerGrid grid = scan_memo_grid();
+  ASSERT_EQ(grid.size(), 24u);
+  constexpr std::size_t kPoints = 120;
+  const CornerFn fn = make_emission_corner_fn(scan_memo_config(kPoints));
+
+  // One worker claiming whole transient groups: one scan per (transient,
+  // RBW), every other corner of the group scored from it.
+  const std::uint64_t runs0 = scan_runs();
+  SweepRunner serial(1);
+  const SweepOutcome grouped = serial.run(grid, fn, {}, emission_chunk_hint(grid));
+  EXPECT_EQ(scan_runs() - runs0, 2u * 2u);
+
+  // Three workers claiming one corner at a time: scan slots miss.
+  SweepRunner pool(3);
+  const SweepOutcome scattered = pool.run(grid, fn, {}, 1);
+
+  expect_same_corners(grouped, scattered);
+  EXPECT_EQ(summary_json(grid, grouped.summary).dump(0),
+            summary_json(grid, scattered.summary).dump(0));
+  // Passes count what each corner was scored on, not what was computed.
+  EXPECT_EQ(grouped.summary.scan_detector_passes, grid.size() * kPoints);
+  EXPECT_EQ(scattered.summary.scan_detector_passes, grid.size() * kPoints);
+  EXPECT_EQ(grouped.summary.solver_failed, 0u);
+  EXPECT_EQ(grouped.summary.uncovered, 0u);
+
+  // The supply corners of one (transient, RBW, detector) differ by the
+  // scaling alone, and never share a reading.
+  const auto& lo = grouped.results[0].report;  // vdd 0.9, peak
+  const auto& hi = grouped.results[3].report;  // vdd 1.1, peak
+  ASSERT_EQ(lo.points.size(), hi.points.size());
+  EXPECT_NEAR(hi.points[0].level_dbuv - lo.points[0].level_dbuv,
+              20.0 * std::log10(1.1 / 0.9), 1e-9);
+}
+
+TEST(EmissionScanMemo, ScanSlotIsKeyedByTheWholeReceiverSetting) {
+  // Two pipelines on one runner share the transient memo (one transient,
+  // one RBW) but scan on different grids: the second must rescan, not
+  // reuse the first one's readings.
+  CornerAxes axes = scan_memo_grid().axes();
+  axes.load_c = {1e-12};
+  axes.rbw = {20e6};
+  const CornerGrid grid(axes);
+  const CornerFn coarse = make_emission_corner_fn(scan_memo_config(40));
+  const CornerFn fine = make_emission_corner_fn(scan_memo_config(90));
+  const std::size_t chunk = emission_chunk_hint(grid);
+
+  SweepRunner shared(1);
+  (void)shared.run(grid, coarse, {}, chunk);
+  const SweepOutcome after_coarse = shared.run(grid, fine, {}, chunk);
+  SweepRunner fresh(1);
+  const SweepOutcome alone = fresh.run(grid, fine, {}, chunk);
+
+  expect_same_corners(after_coarse, alone);
+  EXPECT_EQ(after_coarse.summary.scan_detector_passes, grid.size() * 90u);
+}
+
+TEST(EmissionScanMemo, TransientMemoMissEmptiesTheScanSlot) {
+  // Two transients under one RBW: the second transient's first corner asks
+  // for the receiver setting the slot already holds, and must still rescan.
+  CornerAxes axes = scan_memo_grid().axes();
+  axes.rbw = {20e6};
+  const CornerGrid grid(axes);
+  const CornerFn fn = make_emission_corner_fn(scan_memo_config(60));
+  const std::uint64_t runs0 = scan_runs();
+  SweepRunner runner(1);
+  const SweepOutcome both = runner.run(grid, fn, {}, emission_chunk_hint(grid));
+  EXPECT_EQ(scan_runs() - runs0, 2u);
+
+  axes.load_c = {2e-12};
+  const CornerGrid second_only(axes);
+  SweepRunner fresh(1);
+  const SweepOutcome second = fresh.run(second_only, fn, {}, emission_chunk_hint(second_only));
+  ASSERT_EQ(both.results.size(), 2 * second.results.size());
+  for (std::size_t i = 0; i < second.results.size(); ++i)
+    expect_same_levels(both.results[second.results.size() + i], second.results[i]);
+}
+
+TEST(EmissionScanMemo, FloorPointsStayAtTheFloorUnderSupplyScaling) {
+  // The 16 ns steady record has 62.5 MHz bins and a 20 MHz RBW reaches
+  // ~48 MHz, so a 5 MHz scan point covers no bin and reads the -120 dBuV
+  // floor. Scaling the readings in volts keeps it there at every supply
+  // corner; adding 20 log10(vdd_scale) in dB would move it.
+  CornerAxes axes = scan_memo_grid().axes();
+  axes.load_c = {1e-12};
+  axes.rbw = {20e6};
+  axes.detector = {Detector::kPeak, Detector::kAverage};
+  const CornerGrid grid(axes);
+  EmissionSweepConfig cfg = scan_memo_config(30);
+  cfg.rx.f_start = 5e6;
+  cfg.mask = {"memo mask", {{1e6, 140.0}, {5e9, 90.0}}};
+  SweepRunner runner(1);
+  const SweepOutcome out = runner.run(grid, make_emission_corner_fn(cfg), {},
+                                      emission_chunk_hint(grid));
+  for (const CornerResult& r : out.results) {
+    ASSERT_FALSE(r.report.points.empty()) << r.scenario.label();
+    EXPECT_EQ(r.report.points[0].f, 5e6);
+    EXPECT_EQ(r.report.points[0].level_dbuv, -120.0) << r.scenario.label();
+  }
 }
 
 // ----------------------------------------------- engine workspace overload
