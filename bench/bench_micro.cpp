@@ -12,6 +12,7 @@
 #include "ident/rbf.hpp"
 #include "linalg/decomp.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 namespace {
 
@@ -103,8 +104,9 @@ void BM_TransientCmosInverter(benchmark::State& state) {
 void BM_OlsFit(benchmark::State& state) {
   // RBF estimation cost on a synthetic NARX-sized dataset (the per-model
   // cost of the paper's "low cost of generation" claim). Args: rows, basis
-  // functions; 5 inputs and the default 400 candidate centers. 7668 x 26
-  // is the shape of one driver submodel path (orders 2/2, MD1-MD3).
+  // functions, pool workers; 5 inputs and the default 400 candidate
+  // centers. 7668 x 26 is the shape of one driver submodel path (orders
+  // 2/2, MD1-MD3); the model is the same at every worker count.
   const auto n = static_cast<std::size_t>(state.range(0));
   linalg::Matrix x(n, 5);
   std::vector<double> y(n);
@@ -115,8 +117,10 @@ void BM_OlsFit(benchmark::State& state) {
   }
   ident::RbfFitOptions opt;
   opt.max_basis = static_cast<int>(state.range(1));
+  sweep::ThreadPool pool(static_cast<std::size_t>(state.range(2)));
   for (auto _ : state) {
-    auto m = ident::fit_rbf_ols(x, y, opt);
+    const ident::OlsPath path(x, y, opt, &pool);
+    auto m = path.model(static_cast<std::size_t>(opt.max_basis));
     benchmark::DoNotOptimize(m);
   }
 }
@@ -128,10 +132,12 @@ BENCHMARK(BM_RbfEval)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_TransientRcLadder)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TransientCmosInverter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OlsFit)
-    ->Args({4000, 8})
-    ->Args({4000, 16})
-    ->Args({4000, 24})
-    ->Args({7668, 26})
+    ->Args({4000, 8, 1})
+    ->Args({4000, 16, 1})
+    ->Args({4000, 24, 1})
+    ->Args({7668, 26, 1})
+    ->Args({7668, 26, 4})
+    ->UseRealTime()  // the pool's helpers do part of the work
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

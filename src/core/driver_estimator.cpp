@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
+
+#include "sweep/thread_pool.hpp"
 
 namespace emc::core {
 
@@ -43,7 +46,8 @@ double free_run_error(const ident::RbfModel& m, ident::NarxOrders ord,
 /// degrades the transition dynamics of the faster devices; the residual
 /// static zero-crossing offset is documented in EXPERIMENTS.md.)
 ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int order,
-                             int max_basis, const ident::RbfFitOptions& base) {
+                             int max_basis, const ident::RbfFitOptions& base,
+                             sweep::ThreadPool* pool) {
   ident::NarxOrders ord{order, order};
   const auto ds = ident::build_narx_dataset(train.v, train.i, ord);
   ident::RbfFitOptions o = base;
@@ -60,7 +64,8 @@ ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int
                                // the training record is part of the score.
                                return free_run_error(m, ord, val) +
                                       free_run_error(m, ord, train);
-                             });
+                             },
+                             pool);
 }
 
 /// Free-run a submodel over a recorded voltage, seeding its histories at
@@ -173,10 +178,31 @@ void trim_to_settling(WeightSequence& seq, bool rising, double tol) {
   }
 }
 
+/// The process-wide estimation pool and the lock that gives it to one
+/// estimate at a time. Persistent rather than per estimate: each
+/// short-lived thread would get a fresh glibc arena, and every arena keeps
+/// about 1.5 MiB after its thread exits.
+struct EstimationPool {
+  std::mutex busy;
+  sweep::ThreadPool pool{sweep::ThreadPool::default_workers()};
+};
+
+EstimationPool& estimation_pool() {
+  static EstimationPool shared;
+  return shared;
+}
+
 }  // namespace
 
 PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
                                        const DriverEstimationOptions& opt) {
+  EstimationPool& shared = estimation_pool();
+  const std::unique_lock<std::mutex> lk(shared.busy, std::try_to_lock);
+  return estimate_driver_model(dut, opt, lk.owns_lock() ? &shared.pool : nullptr);
+}
+
+PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimationOptions& opt,
+                                       sweep::ThreadPool* pool) {
   PwRbfDriverModel model;
   model.ts = opt.ts;
   model.vdd = dut.vdd();
@@ -194,8 +220,8 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
   const auto val_h = record_state(dut, true, vopt, opt.seed + 53);
   const auto val_l = record_state(dut, false, vopt, opt.seed + 54);
 
-  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf);
-  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf);
+  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool);
+  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf, pool);
 
   // --- 2. Switching weights ----------------------------------------------
   // One bit of pre-roll so the DC point is settled, then the edge.

@@ -15,6 +15,10 @@
 #include "core/driver_model.hpp"
 #include "core/dut.hpp"
 
+namespace emc::sweep {
+class ThreadPool;
+}
+
 namespace emc::core {
 
 struct DriverEstimationOptions {
@@ -48,8 +52,19 @@ struct DriverEstimationOptions {
 
 /// Run the full estimation flow against a DUT. Throws std::runtime_error
 /// if an identification record is degenerate.
+///
+/// The submodel fits run on a process-wide estimation pool, created on
+/// first use with ThreadPool::default_workers() workers; its threads sleep
+/// between estimates. A caller that finds the pool in use by another
+/// estimate runs inline instead of waiting. The model is bit-identical at
+/// any worker count.
 PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
                                        const DriverEstimationOptions& opt = {});
+
+/// The same flow with the submodel fits on `pool` (nullptr: inline). The
+/// transistor-level identification records always run on the caller.
+PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimationOptions& opt,
+                                       sweep::ThreadPool* pool);
 
 /// Quality of a submodel fit on its own identification record (free-run
 /// relative RMS error); returned by validate helpers and used in tests.

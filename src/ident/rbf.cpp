@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "linalg/decomp.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 namespace emc::ident {
 
@@ -96,6 +98,25 @@ void dot_rows(std::span<const double> q, const std::vector<std::vector<double>>&
   for (; k < rows.size(); ++k) out[k] = linalg::dot(q, p[rows[k]]);
 }
 
+/// Candidates per pool task: a block of kernel columns or of dots over a
+/// driver record (7668 rows) costs far more than claiming it, and 400
+/// candidates still split evenly over a few workers.
+constexpr std::size_t kCandidateBlock = 16;
+
+/// fn(lo, hi) over [0, n) in blocks of `block` indices, on `pool` or
+/// inline. Blocks are disjoint, so fn may write per-index outputs without
+/// locking; which thread runs a block changes no result.
+void for_blocks(sweep::ThreadPool* pool, std::size_t n, std::size_t block,
+                const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (pool == nullptr || pool->workers() == 1 || n <= block) {
+    fn(0, n);
+    return;
+  }
+  pool->parallel_for((n + block - 1) / block, [&](std::size_t b, std::size_t) {
+    fn(b * block, std::min(n, (b + 1) * block));
+  });
+}
+
 /// A candidate whose deflated energy has fallen below this fraction of its
 /// initial energy is collinear with the picks. Relative, because the
 /// incremental downdate pp -= d^2/qq cancels to rounding noise on the
@@ -105,7 +126,7 @@ constexpr double kCollinearRel = 1e-12;
 }  // namespace
 
 OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
-                 const RbfFitOptions& opt)
+                 const RbfFitOptions& opt, sweep::ThreadPool* pool)
     : sigma_(opt.sigma), ridge_(opt.ridge) {
   const std::size_t n = x.rows();
   if (n == 0 || y.size() != n) throw std::invalid_argument("OlsPath: bad dataset");
@@ -155,18 +176,22 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
     // One allocation per candidate, not one nc x n block: freeing a block
     // that size (24.5 MB on a driver record) raises glibc's dynamic mmap
     // threshold, later sweep buffers then stay on the heap, and the peak
-    // RSS of a scan-heavy sweep grows by a fifth.
+    // RSS of a scan-heavy sweep grows by a fifth. The columns are
+    // allocated here, on the calling thread, and only filled by the pool,
+    // so the pool's threads never own a slice of the heap this large.
     std::vector<std::vector<double>> p(nc, std::vector<double>(n));
     std::vector<double> pp(nc), pp0(nc), py(nc);
-    for (std::size_t c = 0; c < nc; ++c) {
-      auto& pc = p[c];
-      const auto center = z.row(cand[c]);
-      for (std::size_t r = 0; r < n; ++r) pc[r] = kernel(z.row(r), center, inv2s2);
-      const double m = std::accumulate(pc.begin(), pc.end(), 0.0) / static_cast<double>(n);
-      for (auto& v : pc) v -= m;
-      pp[c] = pp0[c] = linalg::dot(pc, pc);
-      py[c] = linalg::dot(pc, y0);
-    }
+    for_blocks(pool, nc, kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t c = lo; c < hi; ++c) {
+        auto& pc = p[c];
+        const auto center = z.row(cand[c]);
+        for (std::size_t r = 0; r < n; ++r) pc[r] = kernel(z.row(r), center, inv2s2);
+        const double m = std::accumulate(pc.begin(), pc.end(), 0.0) / static_cast<double>(n);
+        for (auto& v : pc) v -= m;
+        pp[c] = pp0[c] = linalg::dot(pc, pc);
+        py[c] = linalg::dot(pc, y0);
+      }
+    });
 
     std::vector<std::size_t> rest(nc);  // unpicked candidates, ascending
     std::iota(rest.begin(), rest.end(), 0);
@@ -206,11 +231,13 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
       picks.push_back(best_c);
       picks_qq.push_back(qq);
 
-      dot_rows(q, p, rest, dots);
-      for (std::size_t k = 0; k < rest.size(); ++k) {
-        pp[rest[k]] -= dots[k] * dots[k] / qq;
-        py[rest[k]] -= dots[k] * qy / qq;
-      }
+      for_blocks(pool, rest.size(), kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
+        dot_rows(q, p, std::span(rest).subspan(lo, hi - lo), std::span(dots).subspan(lo));
+        for (std::size_t k = lo; k < hi; ++k) {
+          pp[rest[k]] -= dots[k] * dots[k] / qq;
+          py[rest[k]] -= dots[k] * qy / qq;
+        }
+      });
     }
   }
 
@@ -265,29 +292,54 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
-                      const std::function<double(const RbfModel&)>& score) {
+                      const std::function<double(const RbfModel&)>& score,
+                      sweep::ThreadPool* pool) {
   if (sigma_grid.empty() || basis_grid.empty())
     throw std::invalid_argument("fit_rbf_best: empty grids");
+  for (int nb : basis_grid)
+    if (nb < 1) throw std::invalid_argument("fit_rbf_best: basis entries must be >= 1");
+  for (double s : sigma_grid)
+    if (!std::isfinite(s) || s <= 0.0)
+      throw std::invalid_argument("fit_rbf_best: sigma entries must be finite and positive");
 
-  RbfModel best;
-  double best_score = std::numeric_limits<double>::infinity();
+  // Every (sigma, basis) model, in grid order. The paths run one at a time,
+  // so only one candidate matrix is ever alive.
+  std::vector<RbfModel> models;
+  models.reserve(sigma_grid.size() * basis_grid.size());
   for (double s : sigma_grid) {
     RbfFitOptions opt = base;
     opt.sigma = s;
     opt.max_basis = *std::max_element(basis_grid.begin(), basis_grid.end());
-    const OlsPath path(x, y, opt);
-    for (int nb : basis_grid) {
-      RbfModel m = path.model(static_cast<std::size_t>(nb));
-      const double sc = score(m);
-      if (std::isfinite(sc) && sc < best_score) {
-        best_score = sc;
-        best = std::move(m);
+    const OlsPath path(x, y, opt, pool);
+    for (int nb : basis_grid) models.push_back(path.model(static_cast<std::size_t>(nb)));
+  }
+
+  // Score concurrently, each model into its own slot; an exception is kept
+  // in the slot so the serial pass below meets it where a serial run would.
+  std::vector<double> scores(models.size());
+  std::vector<std::exception_ptr> errors(models.size());
+  for_blocks(pool, models.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      try {
+        scores[k] = score(models[k]);
+      } catch (...) {
+        errors[k] = std::current_exception();
       }
     }
+  });
+
+  std::size_t best = models.size();
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    if (errors[k]) std::rethrow_exception(errors[k]);
+    if (std::isfinite(scores[k]) && scores[k] < best_score) {
+      best_score = scores[k];
+      best = k;
+    }
   }
-  if (!std::isfinite(best_score))
+  if (best == models.size())
     throw std::runtime_error("fit_rbf_best: every candidate model scored non-finite");
-  return best;
+  return std::move(models[best]);
 }
 
 RbfModel fit_rbf_auto(const linalg::Matrix& x, std::span<const double> y, RbfFitOptions opt,

@@ -11,6 +11,10 @@
 #include "ident/dataset.hpp"
 #include "linalg/matrix.hpp"
 
+namespace emc::sweep {
+class ThreadPool;
+}
+
 namespace emc::ident {
 
 /// y(x) = w0 + sum_j w_j * exp(-||z - c_j||^2 / (2 sigma^2)),
@@ -70,12 +74,18 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 /// matrix of [1, selected columns] is built once, and each prefix model is
 /// a small ridge solve on its leading block — used for free-run-scored
 /// model-order selection by the macromodel estimators.
+///
+/// With a `pool`, the kernel columns and each step's candidate dots run on
+/// it in fixed candidate blocks. Every candidate is still computed by one
+/// thread in the serial order, and picks stay serial, so the path is
+/// bit-identical at any worker count; nullptr runs inline.
 class OlsPath {
  public:
   /// Throws std::invalid_argument on an empty or mismatched dataset, and
   /// on max_basis < 1, max_candidates < 1, a non-finite or non-positive
   /// sigma, or a negative or non-finite ridge — before any kernel work.
-  OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt);
+  OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt,
+          sweep::ThreadPool* pool = nullptr);
 
   /// Model using the first `n_basis` selected centers (clipped to the
   /// number actually selected). Bit-identical to linalg::solve_ridge on
@@ -99,11 +109,21 @@ class OlsPath {
 };
 
 /// Grid search over (sigma, basis count), scoring each candidate model
-/// with `score` (lower is better, e.g. free-run validation error).
+/// with `score` (lower is better, e.g. free-run validation error). Ties
+/// keep the earlier model in (sigma, basis) grid order.
+///
+/// Throws std::invalid_argument, before any kernel work, on an empty grid,
+/// a basis entry < 1, or a non-finite or non-positive sigma. With a
+/// `pool`, each OlsPath runs on it and the models are scored concurrently
+/// on it, so `score` must then be safe to call from several threads at
+/// once. The result is bit-identical at any worker count; if `score`
+/// throws, the exception of the first throwing model in grid order
+/// propagates, as in a serial run.
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
-                      const std::function<double(const RbfModel&)>& score);
+                      const std::function<double(const RbfModel&)>& score,
+                      sweep::ThreadPool* pool = nullptr);
 
 /// Fit trying several kernel widths, keeping the best one-step-ahead
 /// validation error on the last quarter of the data.

@@ -545,8 +545,11 @@ obs::Json corner_result_json(const CornerResult& r) {
 
 CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
   validate_emission_config(cfg, "make_emission_corner_fn");
+  // Process-unique, so a worker memo filled under another config misses.
+  static std::atomic<std::uint64_t> next_fn_id{1};
+  const std::uint64_t fn_id = next_fn_id.fetch_add(1, std::memory_order_relaxed);
 
-  return [cfg](const Scenario& sc, Workspace& ws) {
+  return [cfg, fn_id](const Scenario& sc, Workspace& ws) {
     // The transient depends only on (pattern, line length, load); the
     // supply/detector/RBW axes post-process its record. Memoize the
     // steady-state record and its accounting per worker so a chunk of
@@ -556,7 +559,7 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
     static const obs::Counter c_hits("sweep.memo_hits");
     static const obs::Counter c_misses("sweep.memo_misses");
 
-    const bool hit = ws.memo_key == memo_key;
+    const bool hit = ws.memo_fn == fn_id && ws.memo_key == memo_key;
     (hit ? c_hits : c_misses).add();
     if (!hit) {
       const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
@@ -603,6 +606,7 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
       memo.recovered = ro.recovered;
       ws.memo = std::move(memo);
       ws.memo_record = std::move(record);
+      ws.memo_fn = fn_id;
       ws.memo_key = std::move(memo_key);
       ws.scan_rx.reset();
     }

@@ -115,7 +115,10 @@ struct CornerResult {
 /// functions of the key, so a memo hit returns exactly what recomputing
 /// would and cannot perturb the sweep's determinism contract. Corners
 /// sharing a key are adjacent in grid order (see AxisId); claim them as
-/// one chunk to make the memo hit.
+/// one chunk to make the memo hit. The key covers only the scenario, so
+/// memo_fn names the corner function (one pipeline's config) that filled
+/// the memo, and a hit requires both: a runner reused for another pipeline
+/// recomputes instead of serving the first pipeline's record.
 ///
 /// scan_rx/scan/scan_volts are a single-entry scan slot over memo_record:
 /// the receiver settings of its last fixed-plan scan (empty after a memo
@@ -126,6 +129,7 @@ struct CornerResult {
 struct Workspace {
   ckt::NewtonWorkspace newton;
   spec::EmiScanner scanner;
+  std::uint64_t memo_fn = 0;
   std::string memo_key;
   sig::Waveform memo_record;
   CornerResult memo;

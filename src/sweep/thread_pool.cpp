@@ -1,5 +1,7 @@
 #include "sweep/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
@@ -39,7 +41,14 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::default_workers() {
-  return std::max(1u, std::thread::hardware_concurrency());
+  std::size_t n = std::max(1u, std::thread::hardware_concurrency());
+  // hardware_concurrency counts the host's CPUs, not the ones this thread
+  // may run on (taskset, a container's cpuset): cap by the affinity mask.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    n = std::min<std::size_t>(n, static_cast<std::size_t>(std::max(1, CPU_COUNT(&set))));
+  return n;
 }
 
 std::vector<WorkerStats> ThreadPool::worker_stats() const {

@@ -73,7 +73,8 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn,
                     std::size_t chunk = 1);
 
-  /// Sensible default worker count: hardware_concurrency, at least 1.
+  /// Sensible default worker count: the CPUs in the calling thread's
+  /// affinity mask, capped by hardware_concurrency, at least 1.
   static std::size_t default_workers();
 
   /// Utilization of every worker (index = worker id), accumulated since

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "circuit/devices_linear.hpp"
 #include "circuit/engine.hpp"
@@ -10,7 +13,9 @@
 #include "core/driver_device.hpp"
 #include "core/driver_estimator.hpp"
 #include "core/validation.hpp"
+#include "devices/reference_driver.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 using namespace emc;
 
@@ -212,4 +217,58 @@ TEST_F(DriverModelTest, SimulatorInputValidation) {
   EXPECT_THROW(core::simulate_driver_on_thevenin(*model_, "01", 1e-9,
                                                  [](double) { return 0.0; }, -1.0, 1e-9),
                std::invalid_argument);
+}
+
+namespace {
+
+/// FNV-1a over the bytes of everything estimation produces: each
+/// submodel's sigma, bias, scaler, centres and weights, then the up and
+/// down weight sequences. Equal hashes mean bit-identical models.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(const double* p, std::size_t n) {
+    const auto* b = reinterpret_cast<const unsigned char*>(p);
+    for (std::size_t k = 0; k < n * sizeof(double); ++k) h = (h ^ b[k]) * 1099511628211ull;
+  }
+  void add(const std::vector<double>& v) { add(v.data(), v.size()); }
+  void add(const ident::RbfModel& m) {
+    const double sb[] = {m.sigma(), m.bias()};
+    add(sb, 2);
+    add(m.scaler().mean());
+    add(m.scaler().scale());
+    add(m.centers().data(), m.centers().rows() * m.centers().cols());
+    add(m.weights());
+  }
+};
+
+std::uint64_t model_hash(const core::PwRbfDriverModel& m) {
+  Fnv1a f;
+  f.add(m.f_high);
+  f.add(m.f_low);
+  f.add(m.up.wh);
+  f.add(m.up.wl);
+  f.add(m.down.wh);
+  f.add(m.down.wl);
+  return f.h;
+}
+
+}  // namespace
+
+TEST(DriverEstimation, ModelsAreBitIdenticalOnAnyPool) {
+  const std::pair<const char*, dev::DriverTech> techs[] = {
+      {"MD1", dev::DriverTech::md1_lvc244()},
+      {"MD2", dev::DriverTech::md2_ibm18()},
+      {"MD3", dev::DriverTech::md3_ibm25()}};
+  sweep::ThreadPool one(1);
+  for (const auto& [name, tech] : techs) {
+    const core::CircuitDriverDut dut(tech);
+    const auto serial = core::estimate_driver_model(dut, {}, &one);
+    const auto shared = core::estimate_driver_model(dut);  // the process-wide pool
+    EXPECT_EQ(model_hash(serial), model_hash(shared)) << name;
+    // MD3 drives every sweep bench: pinned to the serial estimator that
+    // preceded the pool, so a change in any fitted number shows here.
+    if (std::string(name) == "MD3") {
+      EXPECT_EQ(model_hash(shared), 0xd1eb4cae7a4a1916ull);
+    }
+  }
 }

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "ident/rbf.hpp"
 #include "linalg/decomp.hpp"
 #include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 using namespace emc::ident;
 namespace la = emc::linalg;
@@ -345,6 +350,26 @@ TEST(RbfFit, InputValidation) {
   RbfFitOptions zero_ridge;
   zero_ridge.ridge = 0.0;
   EXPECT_NO_THROW(fit_rbf_ols(x2, y3, zero_ridge));
+
+  // fit_rbf_best checks both grids whole before its first path: a bad
+  // entry anywhere throws without a model being scored.
+  const Dataset ds = synthetic_narx(5, 200, 0.2);
+  int scored = 0;
+  const auto score = [&](const RbfModel&) { return static_cast<double>(++scored); };
+  const double good_sigma[] = {1.5};
+  const int good_basis[] = {4};
+  const std::vector<std::vector<int>> bad_basis = {{}, {0}, {-3}, {4, 0}, {4, 8, -1}};
+  for (const auto& b : bad_basis)
+    EXPECT_THROW(fit_rbf_best(ds.x, ds.y, RbfFitOptions{}, good_sigma, b, score),
+                 std::invalid_argument)
+        << "basis entries " << b.size();
+  const std::vector<std::vector<double>> bad_sigma = {
+      {}, {0.0}, {-1.5}, {nan}, {1.0, inf}, {1.0, 2.2, -nan}};
+  for (const auto& sg : bad_sigma)
+    EXPECT_THROW(fit_rbf_best(ds.x, ds.y, RbfFitOptions{}, sg, good_basis, score),
+                 std::invalid_argument)
+        << "sigma entries " << sg.size();
+  EXPECT_EQ(scored, 0);
 }
 
 TEST(OlsPath, SelectionMatchesExplicitDeflationReference) {
@@ -474,4 +499,133 @@ TEST(RbfModel, ConstructorValidation) {
                std::invalid_argument);
   EXPECT_THROW(RbfModel(Scaler({0.0}, {1.0}), la::Matrix(1, 1), {1.0}, 0.0, -1.0),
                std::invalid_argument);
+}
+
+namespace {
+
+/// The seeded NARX datasets of the identity tests, with their candidate
+/// counts: 150 is no multiple of the 16-candidate pool block, 400 is the
+/// driver estimators' count.
+struct IdentityCase {
+  std::uint64_t seed;
+  std::size_t len;
+  int max_candidates;
+};
+constexpr IdentityCase kIdentityCases[] = {{1, 1500, 150}, {2, 1500, 400}, {3, 900, 150}};
+
+/// Bit-level equality of two models: sigma, bias, scaler, centres and
+/// weights compared byte for byte.
+void expect_bit_identical(const RbfModel& a, const RbfModel& b, const std::string& what) {
+  const auto same = [](const void* p, const void* q, std::size_t bytes) {
+    return std::memcmp(p, q, bytes) == 0;
+  };
+  const double sa[] = {a.sigma(), a.bias()};
+  const double sb[] = {b.sigma(), b.bias()};
+  EXPECT_TRUE(same(sa, sb, sizeof(sa))) << what << ": sigma or bias";
+  ASSERT_EQ(a.num_basis(), b.num_basis()) << what;
+  ASSERT_EQ(a.input_dim(), b.input_dim()) << what;
+  const std::size_t d = a.input_dim();
+  EXPECT_TRUE(same(a.scaler().mean().data(), b.scaler().mean().data(), d * sizeof(double)))
+      << what << ": scaler mean";
+  EXPECT_TRUE(same(a.scaler().scale().data(), b.scaler().scale().data(), d * sizeof(double)))
+      << what << ": scaler scale";
+  EXPECT_TRUE(same(a.centers().data(), b.centers().data(),
+                   a.num_basis() * d * sizeof(double)))
+      << what << ": centres";
+  EXPECT_TRUE(same(a.weights().data(), b.weights().data(), a.num_basis() * sizeof(double)))
+      << what << ": weights";
+}
+
+/// Thread-safe score: one-step squared error over the whole dataset.
+double one_step_error(const RbfModel& m, const Dataset& ds) {
+  double e = 0.0;
+  for (std::size_t r = 0; r < ds.x.rows(); ++r) {
+    const double d = m.eval(ds.x.row(r)) - ds.y[r];
+    e += d * d;
+  }
+  return e;
+}
+
+}  // namespace
+
+TEST(OlsPath, BitIdenticalOnAnyPool) {
+  for (const IdentityCase& ic : kIdentityCases) {
+    const Dataset ds = synthetic_narx(ic.seed, ic.len, 0.2);
+    RbfFitOptions opt;
+    opt.max_basis = 20;
+    opt.max_candidates = ic.max_candidates;
+    opt.sigma = 1.5;
+    opt.seed = ic.seed;
+    const OlsPath inline_path(ds.x, ds.y, opt);
+    ASSERT_EQ(inline_path.selected(), 20u);
+    for (std::size_t workers : {1u, 2u, 3u, 4u}) {
+      emc::sweep::ThreadPool pool(workers);
+      const OlsPath path(ds.x, ds.y, opt, &pool);
+      const std::string what = "seed " + std::to_string(ic.seed) + " candidates " +
+                               std::to_string(ic.max_candidates) + " workers " +
+                               std::to_string(workers);
+      EXPECT_EQ(path.order(), inline_path.order()) << what;
+      for (std::size_t nb : {1u, 7u, 20u})
+        expect_bit_identical(path.model(nb), inline_path.model(nb),
+                             what + " basis " + std::to_string(nb));
+    }
+  }
+}
+
+TEST(RbfFit, BestIsBitIdenticalOnAnyPool) {
+  const double sigma_grid[] = {1.0, 1.5, 2.2, 3.2};
+  const int basis_grid[] = {6, 10, 14};
+  for (const IdentityCase& ic : kIdentityCases) {
+    const Dataset ds = synthetic_narx(ic.seed, ic.len, 0.2);
+    RbfFitOptions opt;
+    opt.max_candidates = ic.max_candidates;
+    opt.seed = ic.seed;
+    const auto score = [&](const RbfModel& m) { return one_step_error(m, ds); };
+    const RbfModel ref = fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, score);
+    for (std::size_t workers : {1u, 2u, 3u, 4u}) {
+      emc::sweep::ThreadPool pool(workers);
+      expect_bit_identical(
+          fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, score, &pool), ref,
+          "seed " + std::to_string(ic.seed) + " workers " + std::to_string(workers));
+    }
+  }
+}
+
+TEST(RbfFit, BestPropagatesTheFirstScoreExceptionAndThePoolStaysUsable) {
+  const Dataset ds = synthetic_narx(6, 800, 0.2);
+  const double sigma_grid[] = {1.0, 2.2};
+  const int basis_grid[] = {4, 8, 12};
+  RbfFitOptions opt;
+  opt.max_candidates = 100;
+  emc::sweep::ThreadPool pool(4);
+
+  // Every model throws, on several workers at once: the caller still sees
+  // the first model's exception in grid order, with its type.
+  std::atomic<int> calls{0};
+  const auto throwing = [&](const RbfModel& m) -> double {
+    ++calls;
+    throw std::domain_error("sigma " + std::to_string(m.sigma()) + " basis " +
+                            std::to_string(m.num_basis()));
+  };
+  try {
+    (void)fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, throwing, &pool);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::domain_error& e) {
+    EXPECT_EQ(std::string(e.what()), "sigma " + std::to_string(1.0) + " basis 4");
+  }
+  EXPECT_EQ(calls.load(), 6);
+
+  // One model throws: that exception, not a best-of-the-rest model.
+  const auto one_bad = [&](const RbfModel& m) {
+    if (m.sigma() == 2.2 && m.num_basis() == 8) throw std::out_of_range("bad model");
+    return one_step_error(m, ds);
+  };
+  EXPECT_THROW(fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, one_bad, &pool),
+               std::out_of_range);
+
+  // The pool is reusable, and gives the inline result.
+  const auto score = [&](const RbfModel& m) { return one_step_error(m, ds); };
+  expect_bit_identical(fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, score, &pool),
+                       fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid, score),
+                       "after throws");
 }

@@ -5,7 +5,9 @@
 // synthetic pipelines (small RC transients, hand-built reports); the
 // emission scan-memo tests run the real pipeline on a small MD3 estimate.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/devices_linear.hpp"
@@ -237,6 +240,26 @@ TEST(ThreadPool, WorkerStatsJsonShape) {
     items += static_cast<std::uint64_t>(rows[w].at("items").as_integer());
   }
   EXPECT_EQ(items, 16u);
+}
+
+TEST(ThreadPool, DefaultWorkersHonoursTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(ThreadPool::default_workers(),
+            std::min(hw, static_cast<std::size_t>(CPU_COUNT(&saved))));
+
+  // Pin this thread to the first CPU it may run on, ask, then restore.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool::default_workers();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(ThreadPool, ExceptionPropagatesWithoutDeadlock) {
@@ -1107,6 +1130,28 @@ TEST(EmissionScanMemo, TransientMemoMissEmptiesTheScanSlot) {
   ASSERT_EQ(both.results.size(), 2 * second.results.size());
   for (std::size_t i = 0; i < second.results.size(); ++i)
     expect_same_levels(both.results[second.results.size() + i], second.results[i]);
+}
+
+TEST(EmissionScanMemo, TransientMemoIsKeyedByThePipeline) {
+  // The memo key covers the scenario, not the pipeline's config. A runner
+  // reused for a pipeline with a longer bit time must rerun the transient,
+  // not score the first pipeline's record.
+  CornerAxes axes = scan_memo_grid().axes();
+  axes.load_c = {1e-12};
+  axes.rbw = {20e6};
+  const CornerGrid grid(axes);
+  EmissionSweepConfig slow = scan_memo_config(60);
+  slow.bit_time = 2e-9;
+  const std::size_t chunk = emission_chunk_hint(grid);
+
+  SweepRunner shared(1);
+  (void)shared.run(grid, make_emission_corner_fn(scan_memo_config(60)), {}, chunk);
+  const SweepOutcome reused = shared.run(grid, make_emission_corner_fn(slow), {}, chunk);
+  SweepRunner fresh(1);
+  const SweepOutcome alone = fresh.run(grid, make_emission_corner_fn(slow), {}, chunk);
+
+  expect_same_corners(reused, alone);
+  EXPECT_FALSE(reused.results.front().transient_reused);
 }
 
 TEST(EmissionScanMemo, FloorPointsStayAtTheFloorUnderSupplyScaling) {
