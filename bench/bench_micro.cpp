@@ -101,26 +101,54 @@ void BM_TransientCmosInverter(benchmark::State& state) {
   }
 }
 
+/// Synthetic NARX-sized regression data: `n` rows of 5 inputs in [-2, 2].
+ident::Dataset ols_dataset(std::size_t n) {
+  ident::Dataset ds{linalg::Matrix(n, 5), std::vector<double>(n)};
+  sig::Lcg rng(11);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t cidx = 0; cidx < 5; ++cidx) ds.x(r, cidx) = rng.uniform() * 4.0 - 2.0;
+    ds.y[r] = std::tanh(ds.x(r, 0)) + 0.2 * ds.x(r, 3);
+  }
+  return ds;
+}
+
 void BM_OlsFit(benchmark::State& state) {
   // RBF estimation cost on a synthetic NARX-sized dataset (the per-model
   // cost of the paper's "low cost of generation" claim). Args: rows, basis
   // functions, pool workers; 5 inputs and the default 400 candidate
   // centers. 7668 x 26 is the shape of one driver submodel path (orders
   // 2/2, MD1-MD3); the model is the same at every worker count.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix x(n, 5);
-  std::vector<double> y(n);
-  sig::Lcg rng(11);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t cidx = 0; cidx < 5; ++cidx) x(r, cidx) = rng.uniform() * 4.0 - 2.0;
-    y[r] = std::tanh(x(r, 0)) + 0.2 * x(r, 3);
-  }
+  const ident::Dataset ds = ols_dataset(static_cast<std::size_t>(state.range(0)));
   ident::RbfFitOptions opt;
   opt.max_basis = static_cast<int>(state.range(1));
   sweep::ThreadPool pool(static_cast<std::size_t>(state.range(2)));
   for (auto _ : state) {
-    const ident::OlsPath path(x, y, opt, &pool);
+    const ident::OlsPath path(ds.x, ds.y, opt, &pool);
     auto m = path.model(static_cast<std::size_t>(opt.max_basis));
+    benchmark::DoNotOptimize(m);
+  }
+}
+
+void BM_FitBest(benchmark::State& state) {
+  // One driver submodel fit: fit_rbf_best over the driver estimator's
+  // sigma and basis grids on 7668 x 5, so four OLS paths share one
+  // candidate workspace. The score is a cheap one-step error on every
+  // 16th row, so the time is the paths'. Arg: pool workers.
+  const ident::Dataset ds = ols_dataset(7668);
+  const double sigma_grid[] = {1.0, 1.5, 2.2, 3.2};
+  const int basis_grid[] = {6, 10, 14, 18, 22, 26};
+  const auto score = [&](const ident::RbfModel& m) {
+    double e = 0.0;
+    for (std::size_t r = 0; r < ds.x.rows(); r += 16) {
+      const double d = m.eval(ds.x.row(r)) - ds.y[r];
+      e += d * d;
+    }
+    return e;
+  };
+  sweep::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto m = ident::fit_rbf_best(ds.x, ds.y, ident::RbfFitOptions{}, sigma_grid, basis_grid,
+                                 score, &pool);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -139,5 +167,6 @@ BENCHMARK(BM_OlsFit)
     ->Args({7668, 26, 4})
     ->UseRealTime()  // the pool's helpers do part of the work
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FitBest)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -47,7 +47,7 @@ double free_run_error(const ident::RbfModel& m, ident::NarxOrders ord,
 /// static zero-crossing offset is documented in EXPERIMENTS.md.)
 ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int order,
                              int max_basis, const ident::RbfFitOptions& base,
-                             sweep::ThreadPool* pool) {
+                             sweep::ThreadPool* pool, ident::OlsWorkspace* ws) {
   ident::NarxOrders ord{order, order};
   const auto ds = ident::build_narx_dataset(train.v, train.i, ord);
   ident::RbfFitOptions o = base;
@@ -65,7 +65,7 @@ ident::RbfModel fit_submodel(const PortRecord& train, const PortRecord& val, int
                                return free_run_error(m, ord, val) +
                                       free_run_error(m, ord, train);
                              },
-                             pool);
+                             pool, ws);
 }
 
 /// Free-run a submodel over a recorded voltage, seeding its histories at
@@ -220,8 +220,14 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimat
   const auto val_h = record_state(dut, true, vopt, opt.seed + 53);
   const auto val_l = record_state(dut, false, vopt, opt.seed + 54);
 
-  model.f_high = fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool);
-  model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf, pool);
+  {
+    // One candidate workspace for all eight sigma paths, freed before the
+    // switching records.
+    ident::OlsWorkspace ws;
+    model.f_high =
+        fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool, &ws);
+    model.f_low = fit_submodel(rec_l, val_l, opt.order, opt.max_basis_low, opt.rbf, pool, &ws);
+  }
 
   // --- 2. Switching weights ----------------------------------------------
   // One bit of pre-roll so the DC point is settled, then the edge.

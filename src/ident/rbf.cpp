@@ -126,7 +126,7 @@ constexpr double kCollinearRel = 1e-12;
 }  // namespace
 
 OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
-                 const RbfFitOptions& opt, sweep::ThreadPool* pool)
+                 const RbfFitOptions& opt, sweep::ThreadPool* pool, OlsWorkspace* ws)
     : sigma_(opt.sigma), ridge_(opt.ridge) {
   const std::size_t n = x.rows();
   if (n == 0 || y.size() != n) throw std::invalid_argument("OlsPath: bad dataset");
@@ -165,102 +165,138 @@ OlsPath::OlsPath(const linalg::Matrix& x, std::span<const double> y,
   for (auto& v : y0) v -= ymean_;
   const double y_energy = std::max(linalg::dot(y0, y0), 1e-30);
 
-  {
-    // OLS with incremental bookkeeping (Chen, Cowan & Grant 1991). p[c]
-    // is candidate column phi_c with its mean deflated; it is never
-    // deflated by the picks. pp[c] and py[c] track the energy of the
-    // deflated column and its projection on the target, and the error
-    // reduction ratio of a candidate is py^2 / (pp * y.y). A pick q is
-    // orthogonal to every earlier pick, so one dot d = q.phi_c per
-    // remaining candidate downdates both.
-    // One allocation per candidate, not one nc x n block: freeing a block
-    // that size (24.5 MB on a driver record) raises glibc's dynamic mmap
-    // threshold, later sweep buffers then stay on the heap, and the peak
-    // RSS of a scan-heavy sweep grows by a fifth. The columns are
-    // allocated here, on the calling thread, and only filled by the pool,
-    // so the pool's threads never own a slice of the heap this large.
-    std::vector<std::vector<double>> p(nc, std::vector<double>(n));
-    std::vector<double> pp(nc), pp0(nc), py(nc);
-    for_blocks(pool, nc, kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        auto& pc = p[c];
-        const auto center = z.row(cand[c]);
-        for (std::size_t r = 0; r < n; ++r) pc[r] = kernel(z.row(r), center, inv2s2);
-        const double m = std::accumulate(pc.begin(), pc.end(), 0.0) / static_cast<double>(n);
-        for (auto& v : pc) v -= m;
-        pp[c] = pp0[c] = linalg::dot(pc, pc);
-        py[c] = linalg::dot(pc, y0);
+  // OLS with incremental bookkeeping (Chen, Cowan & Grant 1991). p[c] is
+  // candidate column phi_c with its mean deflated; it is never deflated by
+  // the picks. pp[c] and py[c] track the energy of the deflated column and
+  // its projection on the target, and the error reduction ratio of a
+  // candidate is py^2 / (pp * y.y). A pick q is orthogonal to every
+  // earlier pick, so one dot d = q.phi_c per remaining candidate downdates
+  // both.
+  // One allocation per candidate, not one nc x n block: freeing a block
+  // that size (24.5 MB on a driver record) raises glibc's dynamic mmap
+  // threshold, later sweep buffers then stay on the heap, and the peak RSS
+  // of a scan-heavy sweep grows by a fifth. The columns are sized here, on
+  // the calling thread, and only filled by the pool, so the pool's threads
+  // never own a slice of the heap this large. A reused workspace already
+  // holds them, and every entry is written below before it is read.
+  OlsWorkspace local;
+  std::vector<std::vector<double>>& p = (ws != nullptr ? *ws : local).columns;
+  if (p.size() < nc) p.resize(nc);
+  for (std::size_t c = 0; c < nc; ++c) p[c].resize(n);
+  std::vector<double> pp(nc), pp0(nc), py(nc);
+  for_blocks(pool, nc, kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      auto& pc = p[c];
+      const auto center = z.row(cand[c]);
+      for (std::size_t r = 0; r < n; ++r) pc[r] = kernel(z.row(r), center, inv2s2);
+      const double m = std::accumulate(pc.begin(), pc.end(), 0.0) / static_cast<double>(n);
+      for (auto& v : pc) v -= m;
+      pp[c] = pp0[c] = linalg::dot(pc, pc);
+      py[c] = linalg::dot(pc, y0);
+    }
+  });
+
+  std::vector<std::size_t> rest(nc);  // unpicked candidates, ascending
+  std::iota(rest.begin(), rest.end(), 0);
+  std::vector<double> dots(nc);
+  std::vector<std::size_t> picks;  // slots of the orthogonalised picks
+  std::vector<double> picks_qq;    // their energies
+  const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
+  for (int step = 0; step < n_select; ++step) {
+    double best_err = 0.0;
+    std::size_t best_c = nc;
+    for (const std::size_t c : rest) {
+      if (pp[c] <= kCollinearRel * pp0[c]) continue;
+      const double err = py[c] * py[c] / (pp[c] * y_energy);
+      if (err > best_err) {
+        best_err = err;
+        best_c = c;
+      }
+    }
+    if (best_c == nc || best_err < opt.min_err_reduction) break;
+
+    rest.erase(std::find(rest.begin(), rest.end(), best_c));
+    order_.push_back(cand[best_c]);
+
+    // Orthogonalise the pick against the earlier ones, in the slot its
+    // raw column no longer needs: modified Gram-Schmidt, run twice,
+    // because one pass loses orthogonality on a near-collinear pick and
+    // every later downdate inherits the loss. Each axpy shares its pass
+    // over q with the dot that follows it (the next projection, or q.q and
+    // q.y after the last one). Every element gets the update and every sum
+    // the terms of separate linalg::axpy and linalg::dot calls, in their
+    // order, so the bits are theirs.
+    const std::span<double> q = p[best_c];
+    double qq = 0.0, qy = 0.0;
+    if (picks.empty()) {
+      qq = linalg::dot(q, q);
+      qy = linalg::dot(q, y0);
+    } else {
+      const std::size_t n_proj = 2 * picks.size();
+      double proj = linalg::dot(p[picks[0]], q);
+      for (std::size_t s = 0; s < n_proj; ++s) {
+        const std::size_t k = s % picks.size();
+        const double alpha = -proj / picks_qq[k];
+        const double* qk = p[picks[k]].data();
+        if (s + 1 < n_proj) {
+          const double* next = p[picks[(s + 1) % picks.size()]].data();
+          proj = 0.0;
+          for (std::size_t r = 0; r < n; ++r) {
+            q[r] += alpha * qk[r];
+            proj += next[r] * q[r];
+          }
+        } else {
+          for (std::size_t r = 0; r < n; ++r) {
+            q[r] += alpha * qk[r];
+            qq += q[r] * q[r];
+            qy += q[r] * y0[r];
+          }
+        }
+      }
+    }
+    picks.push_back(best_c);
+    picks_qq.push_back(qq);
+
+    for_blocks(pool, rest.size(), kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
+      dot_rows(q, p, std::span(rest).subspan(lo, hi - lo), std::span(dots).subspan(lo));
+      for (std::size_t k = lo; k < hi; ++k) {
+        pp[rest[k]] -= dots[k] * dots[k] / qq;
+        py[rest[k]] -= dots[k] * qy / qq;
       }
     });
-
-    std::vector<std::size_t> rest(nc);  // unpicked candidates, ascending
-    std::iota(rest.begin(), rest.end(), 0);
-    std::vector<double> dots(nc);
-    std::vector<std::size_t> picks;  // slots of the orthogonalised picks
-    std::vector<double> picks_qq;    // their energies
-    const int n_select = std::min<int>(opt.max_basis, static_cast<int>(nc));
-    for (int step = 0; step < n_select; ++step) {
-      double best_err = 0.0;
-      std::size_t best_c = nc;
-      for (const std::size_t c : rest) {
-        if (pp[c] <= kCollinearRel * pp0[c]) continue;
-        const double err = py[c] * py[c] / (pp[c] * y_energy);
-        if (err > best_err) {
-          best_err = err;
-          best_c = c;
-        }
-      }
-      if (best_c == nc || best_err < opt.min_err_reduction) break;
-
-      rest.erase(std::find(rest.begin(), rest.end(), best_c));
-      order_.push_back(cand[best_c]);
-
-      // Orthogonalise the pick against the earlier ones, in the slot its
-      // raw column no longer needs: modified Gram-Schmidt, run twice,
-      // because one pass loses orthogonality on a near-collinear pick and
-      // every later downdate inherits the loss.
-      const std::span<double> q = p[best_c];
-      for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t k = 0; k < picks.size(); ++k) {
-          const auto& qk = p[picks[k]];
-          linalg::axpy(-linalg::dot(qk, q) / picks_qq[k], qk, q);
-        }
-      }
-      const double qq = linalg::dot(q, q);
-      const double qy = linalg::dot(q, y0);
-      picks.push_back(best_c);
-      picks_qq.push_back(qq);
-
-      for_blocks(pool, rest.size(), kCandidateBlock, [&](std::size_t lo, std::size_t hi) {
-        dot_rows(q, p, std::span(rest).subspan(lo, hi - lo), std::span(dots).subspan(lo));
-        for (std::size_t k = lo; k < hi; ++k) {
-          pp[rest[k]] -= dots[k] * dots[k] / qq;
-          py[rest[k]] -= dots[k] * qy / qq;
-        }
-      });
-    }
   }
 
   // Normal equations of the whole path, once: A = [1, selected raw
-  // columns], one column per row of `a`. Each entry accumulates over the
-  // samples in the order linalg::solve_ridge uses, so every prefix solve
-  // in model() is bit-identical to solve_ridge on that prefix.
-  const std::size_t m = order_.size();
+  // columns]. The picks' slots hold their orthogonalised q, which nothing
+  // reads any more, so each raw column is rebuilt in its pick's own slot.
+  // Every entry accumulates over the samples in the order
+  // linalg::solve_ridge uses, so each prefix solve in model() is
+  // bit-identical to solve_ridge on that prefix. The ones column needs no
+  // storage: 1.0 * v == v exactly, so its entries are plain in-order sums,
+  // the bits of linalg::dot against a row of ones (n itself at (0, 0)).
+  const std::size_t m = picks.size();
   centers_ = linalg::Matrix(m, d);
-  linalg::Matrix a(m + 1, n, 1.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const auto center = z.row(order_[j]);
-    std::copy(center.begin(), center.end(), centers_.row(j).begin());
-    const auto aj = a.row(j + 1);
-    for (std::size_t r = 0; r < n; ++r) aj[r] = kernel(z.row(r), center, inv2s2);
-  }
+  for_blocks(pool, m, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t j = lo; j < hi; ++j) {
+      const auto center = z.row(order_[j]);
+      std::copy(center.begin(), center.end(), centers_.row(j).begin());
+      auto& aj = p[picks[j]];
+      for (std::size_t r = 0; r < n; ++r) aj[r] = kernel(z.row(r), center, inv2s2);
+    }
+  });
   gram_ = linalg::Matrix(m + 1, m + 1);
   aty_.resize(m + 1);
-  for (std::size_t i = 0; i <= m; ++i) {
-    for (std::size_t j = 0; j <= i; ++j)
-      gram_(i, j) = gram_(j, i) = linalg::dot(a.row(i), a.row(j));
-    aty_[i] = linalg::dot(a.row(i), y);
-  }
+  gram_(0, 0) = static_cast<double>(n);
+  aty_[0] = std::accumulate(y.begin(), y.end(), 0.0);
+  for_blocks(pool, m, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo + 1; i <= hi; ++i) {
+      const auto& ai = p[picks[i - 1]];
+      gram_(i, 0) = gram_(0, i) = std::accumulate(ai.begin(), ai.end(), 0.0);
+      for (std::size_t j = 1; j <= i; ++j)
+        gram_(i, j) = gram_(j, i) = linalg::dot(ai, p[picks[j - 1]]);
+      aty_[i] = linalg::dot(ai, y);
+    }
+  });
 }
 
 RbfModel OlsPath::model(std::size_t n_basis) const {
@@ -293,7 +329,7 @@ RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
                       const std::function<double(const RbfModel&)>& score,
-                      sweep::ThreadPool* pool) {
+                      sweep::ThreadPool* pool, OlsWorkspace* ws) {
   if (sigma_grid.empty() || basis_grid.empty())
     throw std::invalid_argument("fit_rbf_best: empty grids");
   for (int nb : basis_grid)
@@ -302,15 +338,17 @@ RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
     if (!std::isfinite(s) || s <= 0.0)
       throw std::invalid_argument("fit_rbf_best: sigma entries must be finite and positive");
 
-  // Every (sigma, basis) model, in grid order. The paths run one at a time,
-  // so only one candidate matrix is ever alive.
+  // Every (sigma, basis) model, in grid order. The paths run one at a time
+  // on one workspace, so only one candidate matrix is ever alive.
+  OlsWorkspace local;
+  if (ws == nullptr) ws = &local;
   std::vector<RbfModel> models;
   models.reserve(sigma_grid.size() * basis_grid.size());
   for (double s : sigma_grid) {
     RbfFitOptions opt = base;
     opt.sigma = s;
     opt.max_basis = *std::max_element(basis_grid.begin(), basis_grid.end());
-    const OlsPath path(x, y, opt, pool);
+    const OlsPath path(x, y, opt, pool, ws);
     for (int nb : basis_grid) models.push_back(path.model(static_cast<std::size_t>(nb)));
   }
 

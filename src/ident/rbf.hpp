@@ -68,6 +68,16 @@ struct RbfFitOptions {
 RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
                      const RbfFitOptions& opt);
 
+/// Candidate kernel columns of an OLS path, one heap block per candidate,
+/// reusable by later paths. A path resizes the columns it needs and
+/// overwrites every entry before reading it, so a workspace left by
+/// another sigma, dataset or candidate count gives the same bits. Own one
+/// per estimate rather than one per process: its columns hold the whole
+/// candidate matrix (24.5 MB on a driver record) for as long as it lives.
+struct OlsWorkspace {
+  std::vector<std::vector<double>> columns;
+};
+
 /// The OLS greedy selection is nested: the first j selected centers of a
 /// larger fit are exactly the j-basis fit. OlsPath captures one selection
 /// run so models of several sizes can be re-solved cheaply: the Gram
@@ -76,16 +86,19 @@ RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
 /// model-order selection by the macromodel estimators.
 ///
 /// With a `pool`, the kernel columns and each step's candidate dots run on
-/// it in fixed candidate blocks. Every candidate is still computed by one
-/// thread in the serial order, and picks stay serial, so the path is
-/// bit-identical at any worker count; nullptr runs inline.
+/// it in fixed candidate blocks, and the Gram matrix one row per task.
+/// Every candidate and every row is still computed by one thread in the
+/// serial order, and picks stay serial, so the path is bit-identical at
+/// any worker count; nullptr runs inline. The candidate
+/// columns go into `ws`, or into a workspace local to the path when it is
+/// nullptr; the result is the same either way.
 class OlsPath {
  public:
   /// Throws std::invalid_argument on an empty or mismatched dataset, and
   /// on max_basis < 1, max_candidates < 1, a non-finite or non-positive
   /// sigma, or a negative or non-finite ridge — before any kernel work.
   OlsPath(const linalg::Matrix& x, std::span<const double> y, const RbfFitOptions& opt,
-          sweep::ThreadPool* pool = nullptr);
+          sweep::ThreadPool* pool = nullptr, OlsWorkspace* ws = nullptr);
 
   /// Model using the first `n_basis` selected centers (clipped to the
   /// number actually selected). Bit-identical to linalg::solve_ridge on
@@ -118,12 +131,13 @@ class OlsPath {
 /// on it, so `score` must then be safe to call from several threads at
 /// once. The result is bit-identical at any worker count; if `score`
 /// throws, the exception of the first throwing model in grid order
-/// propagates, as in a serial run.
+/// propagates, as in a serial run. All sigma paths share `ws`, or one
+/// workspace local to the call when it is nullptr.
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
                       const std::function<double(const RbfModel&)>& score,
-                      sweep::ThreadPool* pool = nullptr);
+                      sweep::ThreadPool* pool = nullptr, OlsWorkspace* ws = nullptr);
 
 /// Fit trying several kernel widths, keeping the best one-step-ahead
 /// validation error on the last quarter of the data.

@@ -1,7 +1,9 @@
 // The per-step transient path allocates nothing: a counting global
 // operator new (this binary only) brackets the PW-RBF evaluation, the
 // driver stamp and whole Fig. 3 emission-corner transients. A per-step
-// heap allocation shows as a count that grows with the step count.
+// heap allocation shows as a count that grows with the step count. The
+// same operator new also sums the bytes, which bounds what one driver-size
+// PW-RBF fit allocates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,14 +22,19 @@
 #include "core/driver_device.hpp"
 #include "core/driver_estimator.hpp"
 #include "devices/reference_driver.hpp"
+#include "ident/rbf.hpp"
 #include "signal/sample_sink.hpp"
+#include "signal/sources.hpp"
+#include "sweep/thread_pool.hpp"
 
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -43,6 +50,7 @@ namespace core = emc::core;
 namespace {
 
 long allocations() { return g_allocations.load(std::memory_order_relaxed); }
+std::size_t allocated_bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 class AllocFree : public ::testing::Test {
  protected:
@@ -136,6 +144,60 @@ TEST_F(AllocFree, Fig3CornerTransientStepsAllocateNothing) {
   const long long_run = corner_allocations(1200);
   EXPECT_EQ(long_run - short_run, 0) << "allocations per step: "
                                      << static_cast<double>(long_run - short_run) / 800.0;
+}
+
+/// A NARX dataset of the driver records' shape: 7668 rows of orders
+/// (2, 2), so 5 regressors, from a seeded staircase through a saturating
+/// second-order system.
+emc::ident::Dataset driver_sized_dataset() {
+  const std::size_t len = 7670;
+  emc::sig::Lcg rng(5);
+  std::vector<double> v(len), i(len, 0.0);
+  double level = 0.0;
+  for (std::size_t k = 0; k < len; ++k) {
+    if (k % 40 == 0) level = 3.5 * rng.uniform() - 0.5;
+    v[k] = level + 0.05 * (rng.uniform() - 0.5);
+    if (k >= 2)
+      i[k] = 0.6 * i[k - 1] - 0.1 * i[k - 2] + 0.02 * std::tanh(2.0 * (v[k] - 1.25)) -
+             0.01 * v[k - 1];
+  }
+  return emc::ident::build_narx_dataset(emc::sig::Waveform(0.0, 1.0, v),
+                                        emc::sig::Waveform(0.0, 1.0, i),
+                                        emc::ident::NarxOrders{2, 2});
+}
+
+TEST(AllocBytes, FitBestHoldsOneCandidateMatrixAcrossItsSigmaPaths) {
+  const emc::ident::Dataset ds = driver_sized_dataset();
+  ASSERT_EQ(ds.x.rows(), 7668u);
+  ASSERT_EQ(ds.x.cols(), 5u);
+  // The driver estimator's grids and candidate count.
+  const double sigma_grid[] = {1.0, 1.5, 2.2, 3.2};
+  const int basis_grid[] = {6, 10, 14, 18, 22, 26};
+  const emc::ident::RbfFitOptions opt;
+  const std::size_t matrix_bytes =
+      static_cast<std::size_t>(opt.max_candidates) * ds.x.rows() * sizeof(double);
+  // Allocation-free score, so the bytes below are the fit's own.
+  const auto score = [&](const emc::ident::RbfModel& m) {
+    double e = 0.0;
+    for (std::size_t r = 0; r < ds.x.rows(); r += 16) {
+      const double d = m.eval(ds.x.row(r)) - ds.y[r];
+      e += d * d;
+    }
+    return e;
+  };
+
+  emc::sweep::ThreadPool pool(4);
+  for (emc::sweep::ThreadPool* p : {static_cast<emc::sweep::ThreadPool*>(nullptr), &pool}) {
+    const std::size_t before = allocated_bytes();
+    const auto model = emc::ident::fit_rbf_best(ds.x, ds.y, opt, sigma_grid, basis_grid,
+                                                score, p);
+    const std::size_t made = allocated_bytes() - before;
+    EXPECT_LT(static_cast<double>(made), 1.5 * static_cast<double>(matrix_bytes))
+        << (p ? "pool" : "inline") << ": "
+        << static_cast<double>(made) / static_cast<double>(matrix_bytes)
+        << " candidate matrices";
+    EXPECT_GT(model.num_basis(), 0u);
+  }
 }
 
 }  // namespace

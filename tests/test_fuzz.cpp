@@ -20,6 +20,7 @@
 #include "robust/journal.hpp"
 #include "sweep/corner_grid.hpp"
 #include "sweep/sweep_runner.hpp"
+#include "test_temp_path.hpp"
 
 using namespace emc;
 using namespace emc::sweep;
@@ -69,7 +70,7 @@ void write_file(const std::string& path, const std::string& text) {
 
 /// The journal of a real 4-corner sweep.
 std::string real_journal() {
-  const std::string path = "test_fuzz_seed_journal.jsonl";
+  const std::string path = test_temp_path("seed_journal.jsonl");
   std::remove(path.c_str());
   RunOptions opt;
   opt.journal_path = path;
@@ -154,7 +155,7 @@ TEST(Fuzz, JsonParseAcceptsOrRejectsEveryMutant) {
 TEST(Fuzz, LoadJournalAndCornerRestoreSurviveMutants) {
   const CornerGrid grid = fuzz_grid();
   const std::string journal = real_journal();
-  const std::string path = "test_fuzz_mutant_journal.jsonl";
+  const std::string path = test_temp_path("mutant_journal.jsonl");
   std::mt19937_64 rng(kSeed + 1);
   int loaded = 0, restored = 0, refused = 0;
   for (int i = 0; i < kMutants; ++i) {

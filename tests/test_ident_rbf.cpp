@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -567,6 +568,45 @@ TEST(OlsPath, BitIdenticalOnAnyPool) {
       EXPECT_EQ(path.order(), inline_path.order()) << what;
       for (std::size_t nb : {1u, 7u, 20u})
         expect_bit_identical(path.model(nb), inline_path.model(nb),
+                             what + " basis " + std::to_string(nb));
+    }
+  }
+}
+
+TEST(OlsPath, ReusedWorkspaceIsBitIdentical) {
+  const Dataset ds = synthetic_narx(1, 1500, 0.2);
+  RbfFitOptions opt;
+  opt.max_basis = 20;
+  opt.max_candidates = 150;
+  opt.sigma = 1.5;
+  const OlsPath fresh(ds.x, ds.y, opt);
+  ASSERT_EQ(fresh.selected(), 20u);
+
+  // Each dirt leaves the workspace with other values: another sigma on the
+  // same rows, more rows and candidates (columns longer than the reuse
+  // needs, and spare ones), and fewer rows (columns the reuse must grow).
+  struct Dirt {
+    const char* what;
+    Dataset data;
+    int max_candidates;
+  };
+  const Dirt dirts[] = {{"other sigma", synthetic_narx(1, 1500, 0.2), 150},
+                        {"more rows", synthetic_narx(2, 2400, 0.2), 400},
+                        {"fewer rows", synthetic_narx(3, 900, 0.2), 150}};
+  for (std::size_t workers : {0u, 1u, 2u, 3u, 4u}) {
+    std::unique_ptr<emc::sweep::ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<emc::sweep::ThreadPool>(workers);
+    for (const Dirt& dirt : dirts) {
+      OlsWorkspace ws;
+      RbfFitOptions o = opt;
+      o.sigma = 2.2;
+      o.max_candidates = dirt.max_candidates;
+      (void)OlsPath(dirt.data.x, dirt.data.y, o, pool.get(), &ws);
+      const OlsPath reused(ds.x, ds.y, opt, pool.get(), &ws);
+      const std::string what = std::string(dirt.what) + " workers " + std::to_string(workers);
+      EXPECT_EQ(reused.order(), fresh.order()) << what;
+      for (std::size_t nb : {1u, 7u, 20u})
+        expect_bit_identical(reused.model(nb), fresh.model(nb),
                              what + " basis " + std::to_string(nb));
     }
   }

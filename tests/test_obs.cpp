@@ -16,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "test_temp_path.hpp"
 
 namespace {
 
@@ -359,7 +360,7 @@ TEST(ObsTrace, ChromeTraceExportParsesBackWithCorrectShape) {
   EXPECT_EQ(events[0].at("name").as_string(), "phase");
   EXPECT_EQ(doc.at("otherData").at("dropped_events").as_integer(), 0);
 
-  const std::string path = testing::TempDir() + "test_obs.trace.json";
+  const std::string path = test_temp_path("trace.json");
   ASSERT_TRUE(tracer.write_chrome_trace(path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -410,7 +411,7 @@ TEST(ObsReport, SectionsSettersMetricsAndTraceSummary) {
   EXPECT_EQ(j.fields()[3].first, "solver");
   EXPECT_EQ(j.fields()[4].first, "timing");
 
-  const std::string path = testing::TempDir() + "test_obs.report.json";
+  const std::string path = test_temp_path("report.json");
   ASSERT_TRUE(report.write(path));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

@@ -21,6 +21,7 @@
 #include "robust/journal.hpp"
 #include "robust/retry.hpp"
 #include "signal/sample_sink.hpp"
+#include "test_temp_path.hpp"
 
 namespace ckt = emc::ckt;
 namespace sig = emc::sig;
@@ -350,7 +351,7 @@ TEST(Journal, DumpLineIsSingleLine) {
 }
 
 TEST(Journal, AppendLoadRoundTripAndTruncatedTailDropped) {
-  const std::string path = "test_robust_journal.jsonl";
+  const std::string path = test_temp_path("journal.jsonl");
   std::remove(path.c_str());
 
   {

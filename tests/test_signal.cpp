@@ -9,6 +9,7 @@
 #include "signal/metrics.hpp"
 #include "signal/sources.hpp"
 #include "signal/waveform.hpp"
+#include "test_temp_path.hpp"
 
 using namespace emc::sig;
 
@@ -218,7 +219,7 @@ TEST(Metrics, TimingErrorWithHysteresisRobustToGrazing) {
 }
 
 TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = std::filesystem::temp_directory_path() / "emc_csv_test.csv";
+  const std::string path = test_temp_path("csv_test.csv");
   Waveform a(0.0, 1.0, {1.0, 2.0});
   Waveform b(0.0, 1.0, {3.0, 4.0});
   write_csv(path, {"a", "b"}, {a, b});
@@ -240,7 +241,7 @@ TEST(Csv, Validation) {
 }
 
 TEST(Csv, SpectrumWriterHeaderAndRows) {
-  const std::string path = std::filesystem::temp_directory_path() / "emc_spec_csv_test.csv";
+  const std::string path = test_temp_path("spec_csv_test.csv");
   write_spectrum_csv(path, {"ref_dbuv", "model_dbuv"}, {1e6, 2e6},
                      {{60.0, 55.0}, {59.5, 54.0}});
 
@@ -268,8 +269,7 @@ TEST(Csv, UnwritablePathThrows) {
   // The "parent directory" is an existing regular file: neither writer can
   // create it or open the leaf, and both must say so instead of silently
   // producing nothing.
-  const std::filesystem::path blocker =
-      std::filesystem::temp_directory_path() / "emc_csv_unwritable";
+  const std::filesystem::path blocker = test_temp_path("csv_unwritable");
   { std::ofstream(blocker) << "x"; }
   const std::string path = (blocker / "nested" / "out.csv").string();
 

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/spice_export.hpp"
 #include "ident/arx.hpp"
 #include "ident/rbf.hpp"
+#include "test_temp_path.hpp"
 
 using namespace emc;
 
@@ -110,8 +110,7 @@ TEST(SpiceExportCr, EmitsPwlTable) {
 }
 
 TEST(SpiceExportFile, WritesToDisk) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "emc_spice_test.sp").string();
+  const auto path = test_temp_path("spice_test.sp");
   core::write_spice_file(path, "* test netlist\n.end\n");
   std::ifstream is(path);
   ASSERT_TRUE(is.good());

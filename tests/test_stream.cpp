@@ -26,6 +26,7 @@
 #include "signal/csv.hpp"
 #include "signal/sample_sink.hpp"
 #include "signal/waveform.hpp"
+#include "test_temp_path.hpp"
 
 namespace ckt = emc::ckt;
 namespace sig = emc::sig;
@@ -301,8 +302,7 @@ TEST(ChannelTapSink, ExtractsOneChannelInOrder) {
 // ------------------------------------------------------ CSV stream sink
 
 TEST(CsvStreamSink, WritesHeaderAndAllRows) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "emc_stream_sink.csv").string();
+  const auto path = test_temp_path("stream_sink.csv");
   std::vector<double> y(300);
   for (std::size_t k = 0; k < y.size(); ++k) y[k] = 0.125 * static_cast<double>(k);
 
@@ -331,7 +331,7 @@ TEST(CsvStreamSink, WritesHeaderAndAllRows) {
 TEST(CsvStreamSink, UnopenablePathThrowsInBegin) {
   // The target "directory" component is an existing regular file, so the
   // sink can neither create it nor open the leaf.
-  const auto blocker = std::filesystem::temp_directory_path() / "emc_csv_blocker";
+  const std::filesystem::path blocker = test_temp_path("csv_blocker");
   { std::ofstream(blocker) << "x"; }
   sig::CsvStreamSink sink((blocker / "sub" / "out.csv").string(), {"v"});
   sig::StreamInfo info{0.0, 1.0, 1, 10};

@@ -34,6 +34,7 @@
 #include "sweep/corner_grid.hpp"
 #include "sweep/sweep_runner.hpp"
 #include "sweep/thread_pool.hpp"
+#include "test_temp_path.hpp"
 
 namespace {
 
@@ -836,7 +837,7 @@ TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
   // A whole journal of grid A resumed on an equal-sized grid B: the first
   // entry already fails its identity check, so B never reports A's
   // verdicts under its own labels.
-  const std::string jpath = "test_sweep_journal_other_grid.jsonl";
+  const std::string jpath = test_temp_path("journal_other_grid.jsonl");
   std::remove(jpath.c_str());
   RunOptions opt;
   opt.journal_path = jpath;
@@ -856,8 +857,8 @@ TEST(SweepJournal, AbortedRunResumesToByteIdenticalReports) {
   ASSERT_EQ(grid.size(), 12u);
 
   const auto fn = solve_faulty_corner({3, 7});
-  const std::string j_full = "test_sweep_journal_full.jsonl";
-  const std::string j_cut = "test_sweep_journal_cut.jsonl";
+  const std::string j_full = test_temp_path("journal_full.jsonl");
+  const std::string j_cut = test_temp_path("journal_cut.jsonl");
   std::remove(j_full.c_str());
   std::remove(j_cut.c_str());
 
@@ -920,9 +921,9 @@ TEST(SweepJournal, AbortedRunResumesToByteIdenticalReports) {
   const auto whole = runner.run(tie_grid, tied, RunOptions{});
   ASSERT_EQ(whole.summary.worst_corner, 0u);
 
-  const std::string j0 = "test_sweep_shard0.jsonl";
-  const std::string j1 = "test_sweep_shard1.jsonl";
-  const std::string j_all = "test_sweep_shards_all.jsonl";
+  const std::string j0 = test_temp_path("shard0.jsonl");
+  const std::string j1 = test_temp_path("shard1.jsonl");
+  const std::string j_all = test_temp_path("shards_all.jsonl");
   for (const std::string& p : {j0, j1, j_all}) std::remove(p.c_str());
   RunOptions s0;
   s0.shard = {0, 2};
@@ -961,7 +962,7 @@ TEST(SweepRunner, CooperativeStopAbortsJournalsAndResumes) {
   axes.pattern_seed = {1, 2, 3, 4, 5, 6, 7, 8};
   const CornerGrid grid(axes);
 
-  const std::string jpath = "test_sweep_journal_stop.jsonl";
+  const std::string jpath = test_temp_path("journal_stop.jsonl");
   std::remove(jpath.c_str());
 
   std::atomic<bool> stop{false};
