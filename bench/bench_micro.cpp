@@ -9,9 +9,14 @@
 #include "circuit/devices_nonlinear.hpp"
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/tline.hpp"
+#include "core/driver_device.hpp"
+#include "experiments.hpp"
 #include "ident/rbf.hpp"
 #include "linalg/decomp.hpp"
+#include "signal/sample_sink.hpp"
 #include "signal/sources.hpp"
+#include "sweep/corner_grid.hpp"
 #include "sweep/thread_pool.hpp"
 
 namespace {
@@ -101,6 +106,43 @@ void BM_TransientCmosInverter(benchmark::State& state) {
   }
 }
 
+void BM_CornerTransient(benchmark::State& state) {
+  // One transient_bus corner of verdictbench on one thread: two MD3 PW-RBF
+  // drivers on the 0.1 m Fig. 3 line, 1 pF far-end loads, the first
+  // pattern seed's 15-bit PRBS repeated 4 times, the far-end land
+  // streamed into a NullSink through one reused workspace (as a sweep
+  // worker runs it). Estimation runs once, outside the timed loop.
+  const auto model = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
+  std::string active;
+  for (int p = 0; p < 4; ++p) active += sweep::prbs_bits(1, 15);
+  ckt::CoupledLineParams line = exp::mcm_fig3_params();
+  line.length = 0.1;
+  ckt::TransientOptions opt;
+  opt.dt = model.ts;
+  opt.t_stop = 1e-9 * static_cast<double>(active.size());
+  ckt::NewtonWorkspace ws;
+  sig::NullSink sink;
+  ckt::SolveStats stats;
+  for (auto _ : state) {
+    ckt::Circuit c;
+    const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node();
+    ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, model.ts);
+    c.add<ckt::Capacitor>(b1, c.ground(), 1e-12);
+    c.add<ckt::Capacitor>(b2, c.ground(), 1e-12);
+    c.add<core::DriverDevice>(a1, model, active, 1e-9);
+    c.add<core::DriverDevice>(a2, model, std::string(active.size(), '0'), 1e-9);
+    const int probes[] = {b1};
+    stats = ckt::run_transient_streamed(c, opt, ws, probes, sink);
+    benchmark::DoNotOptimize(stats);
+  }
+  const auto steps = static_cast<double>(stats.steps);
+  // The inverted step rate: time per step (printed in us).
+  state.counters["time_per_step"] = benchmark::Counter(
+      steps, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["iters_per_step"] =
+      benchmark::Counter(static_cast<double>(stats.total_newton_iters) / steps);
+}
+
 /// Synthetic NARX-sized regression data: `n` rows of 5 inputs in [-2, 2].
 ident::Dataset ols_dataset(std::size_t n) {
   ident::Dataset ds{linalg::Matrix(n, 5), std::vector<double>(n)};
@@ -159,6 +201,7 @@ BENCHMARK(BM_DenseLuSolve)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_RbfEval)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_TransientRcLadder)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TransientCmosInverter)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CornerTransient)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OlsFit)
     ->Args({4000, 8, 1})
     ->Args({4000, 16, 1})

@@ -11,8 +11,10 @@
 //   * dense/sparse max waveform delta <= 1e-9 at every size
 //   * full mode only: sparse >= 3x faster than dense at >= 200 unknowns
 //     (wall clock is recorded in smoke mode but not gated)
-//   * port-reduced vs reference: max waveform delta <= 1e-9 and equal
-//     Newton iteration counts on every case (wall times recorded)
+//   * port-reduced vs reference: max waveform delta <= 1e-7 (10x below the
+//     default tol: the port-reduced path stops on its contraction
+//     estimate) and no more Newton iterations than the reference on every
+//     case (wall times recorded)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -273,11 +275,11 @@ int main(int argc, char** argv) {
     }
     if (rc.name.empty()) rc.name = "n" + std::to_string(red.n_unknowns);
     const double dv = max_delta(red.record, ref.record);
-    const bool iters_equal = red.newton_iters == ref.newton_iters;
+    const bool iters_le_reference = red.newton_iters <= ref.newton_iters;
     const double speedup = red.wall_s > 0.0 ? ref.wall_s / red.wall_s : 0.0;
     std::printf("%-8s %-9d %-6zu %-10ld %-12.4f %-12.4f %-9.2f %.3g\n", rc.name.c_str(),
                 red.n_unknowns, red.ports, red.newton_iters, red.wall_s, ref.wall_s, speedup, dv);
-    if (!iters_equal || !(dv <= 1e-9)) {
+    if (!iters_le_reference || !(dv <= 1e-7)) {
       std::printf("GATE FAILED: port-reduced/reference disagreement on %s "
                   "(max delta %.3g, iters %ld vs %ld)\n",
                   rc.name.c_str(), dv, red.newton_iters, ref.newton_iters);
@@ -289,7 +291,7 @@ int main(int argc, char** argv) {
     row.set("ports", bench::Json::integer(static_cast<long>(red.ports)));
     row.set("newton_iters", bench::Json::integer(red.newton_iters));
     row.set("reference_newton_iters", bench::Json::integer(ref.newton_iters));
-    row.set("iters_equal", bench::Json::boolean(iters_equal));
+    row.set("iters_le_reference", bench::Json::boolean(iters_le_reference));
     row.set("port_reduced_max_dv", bench::Json::number(dv));
     row.set("cache_lu_on_wall_s", bench::Json::number(red.wall_s));
     row.set("cache_lu_off_wall_s", bench::Json::number(ref.wall_s));

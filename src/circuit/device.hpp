@@ -98,6 +98,23 @@ class Device {
   /// return true even if its stamp ignores x.
   virtual bool nonlinear() const { return false; }
 
+  /// Per-step hooks a device may do work in, for phases().
+  enum Phase : unsigned {
+    kStepHooks = 1u,  ///< start_step and commit
+    kRhs = 2u,        ///< stamp_rhs
+    kAllPhases = kStepHooks | kRhs,
+  };
+
+  /// The per-step hooks of this device that can change anything. A phase
+  /// left out is a promise: start_step and commit leave every state the
+  /// device's stamps read as it was (without kStepHooks), and stamp_rhs
+  /// writes nothing (without kRhs). The transient engine then never calls
+  /// those hooks; it builds its start_step/commit list once per run and
+  /// the port-reduced path its stamp_rhs list once per factor build. The
+  /// default, every phase, is always correct. reset and post_dc are
+  /// called on every device regardless.
+  virtual unsigned phases() const { return kAllPhases; }
+
   /// Contribute only the right-hand-side entries of stamp(): the
   /// port-reduced path's per-step restamp of a linear device whose matrix
   /// is already factored. The contract: stamp_rhs writes exactly the rhs
@@ -112,6 +129,11 @@ class Device {
   virtual void start_step(const SimState& st) { (void)st; }
 
   /// Contribute the (linearized) stamp for the current Newton candidate.
+  ///
+  /// A nonlinear device's stamp reads only the unknowns it stamps into (as
+  /// a row, a column or an rhs row). The port-reduced path iterates on
+  /// those unknowns alone and forms the others once the step is solved,
+  /// so anything else in `st.x` may be stale during the iteration.
   ///
   /// `stamp` is const on purpose: it runs once per Newton iteration and
   /// must not mutate device state — history updates belong in start_step

@@ -49,8 +49,6 @@ Inductor::Inductor(int a, int b, double henries) : a_(a), b_(b), l_(henries) {
   if (henries <= 0.0) throw std::invalid_argument("Inductor: inductance must be positive");
 }
 
-void Inductor::start_step(const SimState&) {}
-
 void Inductor::stamp(Stamper& s, const SimState& st) const {
   const int j = extra_base_;
   // Branch current leaves a and enters b.
@@ -78,8 +76,6 @@ void Inductor::stamp_rhs(Stamper& s, const SimState& st) const {
   const double i_prev = st.v_prev(j);
   s.rhs(j, -req * i_prev - v_prev);
 }
-
-void Inductor::reset() {}
 
 VSource::VSource(int p, int m, std::function<double(double)> value)
     : p_(p), m_(m), value_(std::move(value)) {}

@@ -13,6 +13,7 @@ namespace emc::ckt {
 class Resistor : public Device {
  public:
   Resistor(int a, int b, double ohms);
+  unsigned phases() const override { return 0; }
   void stamp(Stamper& s, const SimState& st) const override;
   void stamp_rhs(Stamper&, const SimState&) const override {}
 
@@ -45,10 +46,9 @@ class Inductor : public Device {
  public:
   Inductor(int a, int b, double henries);
   int num_extra() const override { return 1; }
-  void start_step(const SimState& st) override;
+  unsigned phases() const override { return kRhs; }
   void stamp(Stamper& s, const SimState& st) const override;
   void stamp_rhs(Stamper& s, const SimState& st) const override;
-  void reset() override;
 
   /// Terminal id of the branch-current unknown (valid after finalize()).
   int current_id() const { return extra_base_; }
@@ -69,6 +69,7 @@ class VSource : public Device {
   VSource(int p, int m, double dc_value);
 
   int num_extra() const override { return 1; }
+  unsigned phases() const override { return kRhs; }
   void stamp(Stamper& s, const SimState& st) const override;
   void stamp_rhs(Stamper& s, const SimState& st) const override;
 
@@ -84,6 +85,7 @@ class VSource : public Device {
 class ISource : public Device {
  public:
   ISource(int a, int b, std::function<double(double)> value);
+  unsigned phases() const override { return kRhs; }
   void stamp(Stamper& s, const SimState& st) const override;
 
  private:
@@ -95,6 +97,7 @@ class ISource : public Device {
 class Vccs : public Device {
  public:
   Vccs(int a, int b, int ca, int cb, double gm);
+  unsigned phases() const override { return 0; }
   void stamp(Stamper& s, const SimState& st) const override;
   void stamp_rhs(Stamper&, const SimState&) const override {}
 
@@ -108,6 +111,7 @@ class Vcvs : public Device {
  public:
   Vcvs(int p, int m, int ca, int cb, double k);
   int num_extra() const override { return 1; }
+  unsigned phases() const override { return 0; }
   void stamp(Stamper& s, const SimState& st) const override;
   void stamp_rhs(Stamper&, const SimState&) const override {}
 

@@ -36,6 +36,7 @@ void NewtonWorkspace::invalidate() {
   ports.ready = false;
   ports.bypass = false;
   ports.used = false;
+  ports.rate = PortSystem::Rate::kUnknown;
 }
 
 TransientResult::TransientResult(double t0, double dt, std::size_t n_unknowns)
@@ -135,6 +136,10 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
   else
     ws.invalidate();
   const bool linear = detail::circuit_is_linear(ckt);
+  // The devices whose start_step/commit do anything (Device::phases).
+  std::vector<Device*> stepped;
+  for (const auto& dev : ckt.devices())
+    if (dev->phases() & Device::kStepHooks) stepped.push_back(dev.get());
 
   SolveStats stats;
   if (opt.dc_start) {
@@ -214,7 +219,7 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
 
     {
       SimState st{x_prev, x_prev, t, opt.dt, false, 1.0};
-      for (const auto& dev : ckt.devices()) dev->start_step(st);
+      for (Device* dev : stepped) dev->start_step(st);
     }
 
     x = x_prev;  // warm start
@@ -240,7 +245,7 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
 
     {
       SimState st{x, x_prev, t, opt.dt, false, 1.0};
-      for (const auto& dev : ckt.devices()) dev->commit(st);
+      for (Device* dev : stepped) dev->commit(st);
     }
     stage_frame();
     std::swap(x_prev, x);

@@ -35,7 +35,10 @@ struct TransientOptions {
   double t_stop = 0.0;     ///< end time (required)
   double t_start = 0.0;
   int max_newton = 100;
-  double tol = 1e-6;       ///< infinity-norm convergence tolerance on dx
+  /// Infinity-norm convergence tolerance on dx. The port-reduced path
+  /// also stops once its contraction estimate of the remaining error is
+  /// within tol (PortSystem).
+  double tol = 1e-6;
   double dx_limit = 0.5;   ///< Newton damping: max |dx| per iteration
   double gmin = 1e-12;     ///< diagonal leakage keeping the system regular
   bool dc_start = true;    ///< compute the operating point before stepping
@@ -99,7 +102,8 @@ struct SparseSystem {
 /// port rows, in the backend's LU (the dense `lu` or the mode's
 /// SparseSystem), the port rows densely in `border`. Each Newton
 /// iteration then solves (S + G) x_P = c + r for the nonlinear devices'
-/// k x k stamp G, r, and sets x_I = A_II^-1 b_I - W x_P. The bordered
+/// k x k stamp G, r, and updates x_P only; x_I = A_II^-1 b_I - W x_P is
+/// formed once, when the step is accepted or given up. The bordered
 /// form never inverts a port row's own diagonal, which may be gmin alone
 /// (a node touched only by nonlinear devices). An interior unknown whose
 /// A_II row or column holds nothing but gmin (a voltage source's branch
@@ -114,17 +118,26 @@ struct PortSystem {
 
   std::vector<const Device*> linear;     ///< the circuit's linear devices
   std::vector<const Device*> nonlinear;  ///< ... and its nonlinear ones
+  std::vector<const Device*> rhs;        ///< linear devices with Device::kRhs
   std::vector<int> ports;  ///< P, ascending 0-based unknowns
   std::vector<int> slot;   ///< per unknown: index into ports, or -1
   linalg::Matrix border;   ///< k x n: the linear port rows [A_PI A_PP] (+ gmin)
   linalg::Matrix w;        ///< k x n: row j = column j of W (zero at ports)
+  std::vector<double> w_norm;  ///< k: max_i |W(i, j)|, bounds x_I's move per unit of x_P[j]
   linalg::Matrix schur;    ///< k x k: S
   linalg::Matrix m;        ///< k x k: S + G of the current iterate
   linalg::LuFactor m_lu;
   std::vector<double> b;   ///< this step's linear rhs, n
   std::vector<double> wb;  ///< A_II^-1 b_I, n (zero at ports)
   std::vector<double> c;   ///< b_P - A_PI wb, k
-  std::vector<double> r;   ///< c + nonlinear rhs, then x_P, k
+  std::vector<double> r;   ///< c + nonlinear rhs, then the candidate x_P, k
+
+  /// How this run's Newton contraction theta = dx_m / dx_(m-1) moved over
+  /// three consecutive undamped updates: kUnknown until the first such
+  /// triple, kSuperlinear while every one shrank, kLinear for good once
+  /// one did not. The contraction stop runs only while kSuperlinear.
+  enum class Rate { kUnknown, kSuperlinear, kLinear };
+  Rate rate = Rate::kUnknown;
 
   bool ready = false;   ///< factors valid for the key below
   bool bypass = false;  ///< more than kMaxPorts ports: generic path this run
@@ -159,7 +172,7 @@ class NewtonWorkspace {
 
   linalg::Matrix g;           ///< MNA Jacobian scratch
   std::vector<double> rhs;    ///< right-hand side scratch
-  std::vector<double> x_new;  ///< Newton candidate scratch
+  std::vector<double> x_new;  ///< Newton candidate scratch (generic path)
   linalg::LuFactor lu;        ///< refactorizable LU storage (dense backend)
 
   /// Chunk staging for run_transient_streamed (frame-major, chunk_frames x
@@ -177,9 +190,10 @@ class NewtonWorkspace {
 
   /// |dx|_inf per iteration of the most recent damped Newton solve,
   /// oldest-first and capped at kResidualHistoryCap (older entries are
-  /// dropped). Failure reports copy it into SolveErrorInfo so a diverging
-  /// solve's trajectory survives the throw. A port-reduced solve with no
-  /// ports (a linear circuit) leaves it empty.
+  /// dropped); the port-reduced path records its port-space bound on it.
+  /// Failure reports copy it into SolveErrorInfo so a diverging solve's
+  /// trajectory survives the throw. A port-reduced solve with no ports (a
+  /// linear circuit) leaves it empty.
   static constexpr std::size_t kResidualHistoryCap = 12;
   std::vector<double> residual_history;
 };

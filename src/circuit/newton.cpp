@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -91,6 +92,20 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
 /// path); kBypass: more than kMaxPorts ports, take the generic path.
 enum class PortResult { kOk, kFailed, kBypass };
 
+/// x = wb - W x_P, with x_P read from (and kept at) x's port entries:
+/// the interior that the port-reduced iteration leaves stale.
+void form_interior(const PortSystem& ps, std::span<double> x) {
+  const std::size_t k = ps.ports.size();
+  double xp[PortSystem::kMaxPorts];
+  for (std::size_t j = 0; j < k; ++j) xp[j] = x[static_cast<std::size_t>(ps.ports[j])];
+  std::copy(ps.wb.begin(), ps.wb.end(), x.begin());
+  for (std::size_t j = 0; j < k; ++j) {
+    const auto wj = ps.w.row(j);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] -= wj[i] * xp[j];
+  }
+  for (std::size_t j = 0; j < k; ++j) x[static_cast<std::size_t>(ps.ports[j])] = xp[j];
+}
+
 /// Add `extra` (0-based unknowns) to the port set and refresh the slot map.
 void add_ports(PortSystem& ps, std::span<const int> extra, std::size_t n) {
   ps.ports.insert(ps.ports.end(), extra.begin(), extra.end());
@@ -141,8 +156,11 @@ PortResult build_ports(Circuit& ckt, NewtonWorkspace& ws, SparseSystem* sys,
   ps.ready = false;
   ps.linear.clear();
   ps.nonlinear.clear();
-  for (const auto& dev : ckt.devices())
+  ps.rhs.clear();
+  for (const auto& dev : ckt.devices()) {
     (dev->nonlinear() ? ps.nonlinear : ps.linear).push_back(dev.get());
+    if (!dev->nonlinear() && (dev->phases() & Device::kRhs)) ps.rhs.push_back(dev.get());
+  }
 
   add_ports(ps, {}, n);
   {
@@ -214,11 +232,13 @@ PortResult build_ports(Circuit& ckt, NewtonWorkspace& ws, SparseSystem* sys,
   // W = A_II^-1 A_IP one port column at a time, then S = A_PP - A_PI W
   // (W is zero at the ports, so the full border row dots it exactly).
   ps.schur = linalg::Matrix(k, k);
+  ps.w_norm.assign(k, 0.0);
   for (std::size_t j = 0; j < k; ++j) {
     if (sys)
       sys->lu.solve_in_place(ps.w.row(j));
     else
       ws.lu.solve_in_place(ps.w.row(j));
+    for (double v : ps.w.row(j)) ps.w_norm[j] = std::max(ps.w_norm[j], std::abs(v));
   }
   for (std::size_t i = 0; i < k; ++i)
     for (std::size_t j = 0; j < k; ++j)
@@ -235,13 +255,13 @@ PortResult build_ports(Circuit& ckt, NewtonWorkspace& ws, SparseSystem* sys,
 }
 
 /// This step's linear right-hand side through the factored system:
-/// b (Device::stamp_rhs of every linear device), wb = A_II^-1 b_I and
-/// c = b_P - A_PI wb.
+/// b (Device::stamp_rhs of every linear device with an rhs phase),
+/// wb = A_II^-1 b_I and c = b_P - A_PI wb.
 void port_step_rhs(NewtonWorkspace& ws, SparseSystem* sys, const SimState& state) {
   PortSystem& ps = ws.ports;
   std::fill(ps.b.begin(), ps.b.end(), 0.0);
   RhsStamper st(ps.b);
-  for (const Device* dev : ps.linear) dev->stamp_rhs(st, state);
+  for (const Device* dev : ps.rhs) dev->stamp_rhs(st, state);
 
   std::copy(ps.b.begin(), ps.b.end(), ps.wb.begin());
   for (int p : ps.ports) ps.wb[static_cast<std::size_t>(p)] = 0.0;
@@ -320,15 +340,19 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
     throw robust::SolveError(std::move(info));
   };
 
-  // Convergence test and damping over the full x, shared by both paths:
+  const auto record_dx = [&](double dx) {
+    if (ws.residual_history.size() >= NewtonWorkspace::kResidualHistoryCap)
+      ws.residual_history.erase(ws.residual_history.begin());
+    ws.residual_history.push_back(dx);
+  };
+
+  // The generic path's convergence test and damping over the full x:
   // true when the candidate in ws.x_new is accepted into x.
   const auto accept_or_damp = [&] {
     double dx_max = 0.0;
     for (std::size_t i = 0; i < n; ++i)
       dx_max = std::max(dx_max, std::abs(ws.x_new[i] - x[i]));
-    if (ws.residual_history.size() >= NewtonWorkspace::kResidualHistoryCap)
-      ws.residual_history.erase(ws.residual_history.begin());
-    ws.residual_history.push_back(dx_max);
+    record_dx(dx_max);
 
     if (dx_max <= opt.tol) {
       std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
@@ -364,6 +388,27 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
     }
     if (!dc) ps.used = true;
 
+    // Newton on x_P alone: the nonlinear stamps read only the ports, and
+    // x_I = wb - W x_P is formed once the step is accepted or given up.
+    // x_I is linear in x_P, so an update D moves it by at most
+    // sum_j |W_j|_inf |D_j|; the test and damping use
+    // dx = max(max_j |D_j|, that sum), never below the full-vector |dx|.
+    // Beside dx <= tol, the step stops when two consecutive undamped
+    // updates contract by theta = dx_m / dx_(m-1) < 1 and the estimated
+    // remaining error theta / (1 - theta) * dx_m is within tol. That
+    // estimate holds while the contraction shrinks from one iteration to
+    // the next, as in Newton's superlinear convergence on exact slopes, so
+    // the stop waits until a step has shown a shrinking theta over three
+    // undamped updates, and is off for the rest of the run once one shows
+    // a growing theta (linear convergence: a stamp's slope is not its
+    // current's).
+    bool stale = false;  // x_P moved since x_I was last formed
+    double dx_prev = 0.0;     // the previous update's dx if it was undamped, else 0
+    double theta_prev = 0.0;  // the previous iteration's theta if dx_prev was set, else 0
+    const auto finish = [&](PortResult res) {
+      if (stale) form_interior(ps, x);
+      return res;
+    };
     for (int it = 0; it < opt.max_newton; ++it) {
       check_deadline();
       if (stats) ++stats->total_newton_iters;
@@ -378,6 +423,9 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
         if (st.missed().empty()) break;
         if (stats) ++stats->restamps;
         c_restamps.add();
+        if (stale) form_interior(ps, x);  // the new ports read the current iterate
+        stale = false;
+        dx_prev = theta_prev = 0.0;
         add_ports(ps, st.missed(), n);
         const PortResult built = build();
         if (built != PortResult::kOk) return built;
@@ -386,26 +434,42 @@ bool newton_solve(Circuit& ckt, NewtonWorkspace& ws, bool linear, std::vector<do
       try {
         ps.m_lu.factor(ps.m);
       } catch (const std::runtime_error&) {
-        return PortResult::kFailed;  // singular S + G at this iterate
+        return finish(PortResult::kFailed);  // singular S + G at this iterate
       }
-      ps.m_lu.solve_in_place(ps.r);  // r now holds x_P
-
-      std::copy(ps.wb.begin(), ps.wb.end(), ws.x_new.begin());
-      for (std::size_t j = 0; j < ps.ports.size(); ++j) {
-        const double xp = ps.r[j];
-        const auto wj = ps.w.row(j);
-        for (std::size_t i = 0; i < n; ++i) ws.x_new[i] -= wj[i] * xp;
-      }
-      for (std::size_t j = 0; j < ps.ports.size(); ++j)
-        ws.x_new[static_cast<std::size_t>(ps.ports[j])] = ps.r[j];
-
+      ps.m_lu.solve_in_place(ps.r);  // r now holds the candidate x_P
       if (ps.ports.empty()) {  // a linear system: the one solve is exact
-        std::copy(ws.x_new.begin(), ws.x_new.end(), x.begin());
+        form_interior(ps, x);
         return PortResult::kOk;
       }
-      if (accept_or_damp()) return PortResult::kOk;
+
+      double d_max = 0.0, d_int = 0.0;
+      for (std::size_t j = 0; j < ps.ports.size(); ++j) {
+        const double d = std::abs(ps.r[j] - x[static_cast<std::size_t>(ps.ports[j])]);
+        d_max = std::max(d_max, d);
+        d_int += ps.w_norm[j] * d;
+      }
+      const double dx = std::max(d_max, d_int);
+      record_dx(dx);
+      stale = true;
+
+      const double theta = dx_prev > 0.0 ? dx / dx_prev : 1.0;
+      if (dx_prev > 0.0 && theta_prev > 0.0 && ps.rate != PortSystem::Rate::kLinear)
+        ps.rate = theta < theta_prev ? PortSystem::Rate::kSuperlinear : PortSystem::Rate::kLinear;
+      if (dx <= opt.tol || (ps.rate == PortSystem::Rate::kSuperlinear && theta < 1.0 &&
+                            theta / (1.0 - theta) * dx <= opt.tol)) {
+        for (std::size_t j = 0; j < ps.ports.size(); ++j)
+          x[static_cast<std::size_t>(ps.ports[j])] = ps.r[j];
+        return finish(PortResult::kOk);
+      }
+      const double scale = (dx > opt.dx_limit) ? opt.dx_limit / dx : 1.0;
+      for (std::size_t j = 0; j < ps.ports.size(); ++j) {
+        double& xp = x[static_cast<std::size_t>(ps.ports[j])];
+        xp += scale * (ps.r[j] - xp);
+      }
+      theta_prev = dx_prev > 0.0 ? theta : 0.0;
+      dx_prev = scale == 1.0 ? dx : 0.0;
     }
-    return PortResult::kFailed;
+    return finish(PortResult::kFailed);
   };
 
   if (opt.cache_lu && (!dc || linear) && !ps.bypass) {
