@@ -10,7 +10,9 @@
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/tline.hpp"
+#include "core/circuit_dut.hpp"
 #include "core/driver_device.hpp"
+#include "core/driver_estimator.hpp"
 #include "experiments.hpp"
 #include "ident/rbf.hpp"
 #include "linalg/decomp.hpp"
@@ -195,6 +197,18 @@ void BM_FitBest(benchmark::State& state) {
   }
 }
 
+void BM_EstimateDriver(benchmark::State& state) {
+  // One MD3 driver estimate, records and fits: the eight transistor-level
+  // identification records and the OLS paths run on a pool of
+  // Arg workers. The model is the same at every worker count.
+  const core::CircuitDriverDut dut(dev::DriverTech::md3_ibm25());
+  sweep::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto m = core::estimate_driver_model(dut, {}, &pool);
+    benchmark::DoNotOptimize(m);
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_DenseLuSolve)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
@@ -211,5 +225,6 @@ BENCHMARK(BM_OlsFit)
     ->UseRealTime()  // the pool's helpers do part of the work
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FitBest)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EstimateDriver)->Arg(1)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

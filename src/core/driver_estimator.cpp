@@ -1,9 +1,17 @@
 #include "core/driver_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <exception>
+#include <functional>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "sweep/thread_pool.hpp"
 
@@ -208,21 +216,53 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimat
   model.vdd = dut.vdd();
   model.orders = ident::NarxOrders{opt.order, opt.order};
 
-  // --- 1. State submodels -------------------------------------------------
-  const auto rec_h = record_state(dut, true, opt, opt.seed);
-  const auto rec_l = record_state(dut, false, opt, opt.seed + 1);
+  // --- 0. Identification records ------------------------------------------
+  // Eight independent transistor-level transients, longest first: the two
+  // state records, two short held-out records (different excitation) for
+  // model-order scoring, and the Up and Down edges on both loads, each
+  // with one bit of pre-roll so the DC point is settled. Each runs on one
+  // thread into its own slot; a throw is held there and the first one in
+  // slot order is rethrown, as the serial loop would.
+  DriverEstimationOptions vopt = opt;
+  vopt.n_steps = std::max(30, opt.n_steps / 4);
+  const double pre = 2e-9;
+  const double t_stop = pre + opt.w_window + 2e-9;
+  const auto switching = [&](bool rising, double r_th, double v_load) {
+    return dut.switching_response(rising ? "01" : "10", pre, r_th, v_load, opt.ts, t_stop);
+  };
+  const std::function<PortRecord()> record[] = {
+      [&] { return record_state(dut, true, opt, opt.seed); },
+      [&] { return record_state(dut, false, opt, opt.seed + 1); },
+      [&] { return record_state(dut, true, vopt, opt.seed + 53); },
+      [&] { return record_state(dut, false, vopt, opt.seed + 54); },
+      [&] { return switching(true, opt.load1_r, 0.0); },
+      [&] { return switching(true, opt.load2_r, dut.vdd()); },
+      [&] { return switching(false, opt.load1_r, 0.0); },
+      [&] { return switching(false, opt.load2_r, dut.vdd()); }};
+  constexpr std::size_t kRecords = std::size(record);
+  std::array<PortRecord, kRecords> recs;
+  std::array<std::exception_ptr, kRecords> errs;
+  const auto run = [&](std::size_t k, std::size_t) {
+    try {
+      recs[k] = record[k]();
+    } catch (...) {
+      errs[k] = std::current_exception();
+    }
+  };
+  if (pool != nullptr)
+    pool->parallel_for(kRecords, run);
+  else
+    for (std::size_t k = 0; k < kRecords; ++k) run(k, 0);
+  for (const auto& e : errs)
+    if (e) std::rethrow_exception(e);
+
+  const auto& [rec_h, rec_l, val_h, val_l, up1, up2, down1, down2] = recs;
   if (rec_h.v.size() < 100 || rec_l.v.size() < 100)
     throw std::runtime_error("estimate_driver_model: identification record too short");
 
-  // Short held-out records (different excitation) for model-order scoring.
-  DriverEstimationOptions vopt = opt;
-  vopt.n_steps = std::max(30, opt.n_steps / 4);
-  const auto val_h = record_state(dut, true, vopt, opt.seed + 53);
-  const auto val_l = record_state(dut, false, vopt, opt.seed + 54);
-
+  // --- 1. State submodels -------------------------------------------------
   {
-    // One candidate workspace for all eight sigma paths, freed before the
-    // switching records.
+    // One candidate workspace for all eight sigma paths.
     ident::OlsWorkspace ws;
     model.f_high =
         fit_submodel(rec_h, val_h, opt.order, opt.max_basis_high, opt.rbf, pool, &ws);
@@ -230,15 +270,10 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimat
   }
 
   // --- 2. Switching weights ----------------------------------------------
-  // One bit of pre-roll so the DC point is settled, then the edge.
-  const double pre = 2e-9;
-  const double t_stop = pre + opt.w_window + 2e-9;
   const auto n_keep = static_cast<std::size_t>(std::llround(opt.w_window / opt.ts));
-
   for (bool rising : {true, false}) {
-    const std::string bits = rising ? "01" : "10";
-    const auto r1 = dut.switching_response(bits, pre, opt.load1_r, 0.0, opt.ts, t_stop);
-    const auto r2 = dut.switching_response(bits, pre, opt.load2_r, dut.vdd(), opt.ts, t_stop);
+    const PortRecord& r1 = rising ? up1 : down1;
+    const PortRecord& r2 = rising ? up2 : down2;
 
     const auto ih1 = free_run(model, true, r1.v);
     const auto il1 = free_run(model, false, r1.v);
@@ -258,6 +293,15 @@ PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimat
     else
       model.down = seq;
   }
+
+  // The pool's threads allocated the records and their solver scratch in
+  // their own glibc arenas, which keep freed pages resident. Free the
+  // records, then hand every arena's free pages back once, here, rather
+  // than hold them through the caller's sweep.
+  recs = {};
+#ifdef __GLIBC__
+  if (pool != nullptr) malloc_trim(0);
+#endif
   return model;
 }
 

@@ -53,16 +53,19 @@ struct DriverEstimationOptions {
 /// Run the full estimation flow against a DUT. Throws std::runtime_error
 /// if an identification record is degenerate.
 ///
-/// The submodel fits run on a process-wide estimation pool, created on
-/// first use with ThreadPool::default_workers() workers; its threads sleep
-/// between estimates. A caller that finds the pool in use by another
-/// estimate runs inline instead of waiting. The model is bit-identical at
-/// any worker count.
+/// The records and the submodel fits run on a process-wide estimation
+/// pool, created on first use with ThreadPool::default_workers() workers;
+/// its threads sleep between estimates. A caller that finds the pool in use
+/// by another estimate runs inline instead of waiting. The model is
+/// bit-identical at any worker count.
 PwRbfDriverModel estimate_driver_model(const DriverDut& dut,
                                        const DriverEstimationOptions& opt = {});
 
-/// The same flow with the submodel fits on `pool` (nullptr: inline). The
-/// transistor-level identification records always run on the caller.
+/// The same flow on `pool` (nullptr: inline): the eight transistor-level
+/// identification records run concurrently, one per task, then the
+/// submodel fits. A record that throws is rethrown with its type, the
+/// first in record order. A pooled estimate ends by returning the free
+/// pages of every malloc arena to the system (glibc malloc_trim).
 PwRbfDriverModel estimate_driver_model(const DriverDut& dut, const DriverEstimationOptions& opt,
                                        sweep::ThreadPool* pool);
 

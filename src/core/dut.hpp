@@ -5,6 +5,11 @@
 //
 // Sign convention used throughout: the port current i is the current
 // flowing *into* the device pin.
+//
+// The record methods are const and may be called concurrently from
+// several threads on one DUT: the driver estimator runs its eight
+// identification records at once on the estimation pool. An
+// implementation keeps no mutable state between calls, or guards it.
 #pragma once
 
 #include <string>

@@ -3,7 +3,7 @@
 // driver stamp and whole Fig. 3 emission-corner transients. A per-step
 // heap allocation shows as a count that grows with the step count. The
 // same operator new also sums the bytes, which bounds what one driver-size
-// PW-RBF fit allocates.
+// PW-RBF fit and one transistor-level identification record allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -198,6 +198,28 @@ TEST(AllocBytes, FitBestHoldsOneCandidateMatrixAcrossItsSigmaPaths) {
         << " candidate matrices";
     EXPECT_GT(model.num_basis(), 0u);
   }
+}
+
+TEST(AllocBytes, DriverRecordHoldsOnlyThePortChannels) {
+  // The estimator's state record (default options): 7668 steps of the MD3
+  // transistor-level driver, about 18 unknowns. Only the pad and the
+  // source node are recorded, so the record, its two waveforms and the
+  // solver scratch stay under six channels of samples.
+  const core::DriverEstimationOptions opt;
+  const core::CircuitDriverDut dut(emc::dev::DriverTech::md3_ibm25());
+  const auto vsrc =
+      emc::sig::multilevel_signal(-opt.v_margin, dut.vdd() + opt.v_margin, opt.n_levels,
+                                  opt.n_steps, opt.t_hold, opt.t_edge, opt.seed);
+  const double t_stop = (opt.t_hold + opt.t_edge) * (opt.n_steps + 2);
+
+  const std::size_t before = allocated_bytes();
+  const auto rec = dut.forced_response(true, vsrc, opt.rs, opt.ts, t_stop);
+  const std::size_t made = allocated_bytes() - before;
+
+  ASSERT_EQ(rec.v.size(), 7669u);
+  const std::size_t channel_bytes = rec.v.size() * sizeof(double);
+  EXPECT_LT(made, 6 * channel_bytes)
+      << static_cast<double>(made) / static_cast<double>(channel_bytes) << " channels";
 }
 
 }  // namespace

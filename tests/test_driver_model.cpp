@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -259,16 +260,80 @@ TEST(DriverEstimation, ModelsAreBitIdenticalOnAnyPool) {
       {"MD1", dev::DriverTech::md1_lvc244()},
       {"MD2", dev::DriverTech::md2_ibm18()},
       {"MD3", dev::DriverTech::md3_ibm25()}};
-  sweep::ThreadPool one(1);
+  sweep::ThreadPool one(1), two(2), three(3);
   for (const auto& [name, tech] : techs) {
     const core::CircuitDriverDut dut(tech);
     const auto serial = core::estimate_driver_model(dut, {}, &one);
+    for (sweep::ThreadPool* pool : {&two, &three}) {
+      EXPECT_EQ(model_hash(serial), model_hash(core::estimate_driver_model(dut, {}, pool)))
+          << name << " on " << pool->workers() << " workers";
+    }
     const auto shared = core::estimate_driver_model(dut);  // the process-wide pool
     EXPECT_EQ(model_hash(serial), model_hash(shared)) << name;
     // MD3 drives every sweep bench: pinned to the serial estimator that
     // preceded the pool, so a change in any fitted number shows here.
     if (std::string(name) == "MD3") {
       EXPECT_EQ(model_hash(shared), 0xd1eb4cae7a4a1916ull);
+    }
+  }
+}
+
+namespace {
+
+/// Thrown by SyntheticDut's switching records; not a std::runtime_error,
+/// so a conversion on the way out would show.
+struct SwitchingFault : std::logic_error {
+  using std::logic_error::logic_error;
+};
+
+/// A DUT whose records cost nothing: flat zeros. Either every switching
+/// record throws, or the state records are cut to 50 samples; either way
+/// the estimate stops before its first fit.
+class SyntheticDut final : public core::DriverDut {
+ public:
+  enum class Fault { kSwitchingThrows, kShortStateRecord };
+  explicit SyntheticDut(Fault fault) : fault_(fault) {}
+
+  double vdd() const override { return 1.8; }
+
+  core::PortRecord forced_response(bool, const sig::Pwl&, double, double dt,
+                                   double) const override {
+    return flat(fault_ == Fault::kShortStateRecord ? 50 : 200, dt);
+  }
+
+  core::PortRecord switching_response(const std::string& bits, double, double, double,
+                                      double dt, double) const override {
+    if (fault_ == Fault::kSwitchingThrows) throw SwitchingFault("switching record " + bits);
+    return flat(200, dt);
+  }
+
+ private:
+  static core::PortRecord flat(std::size_t n, double dt) {
+    return {sig::Waveform(0.0, dt, std::vector<double>(n, 0.0)),
+            sig::Waveform(0.0, dt, std::vector<double>(n, 0.0))};
+  }
+
+  Fault fault_;
+};
+
+}  // namespace
+
+TEST(DriverEstimation, RecordFailuresPropagateOnAnyPool) {
+  sweep::ThreadPool one(1), four(4);
+  for (sweep::ThreadPool* pool : {&one, &four}) {
+    const SyntheticDut throwing(SyntheticDut::Fault::kSwitchingThrows);
+    EXPECT_THROW(core::estimate_driver_model(throwing, {}, pool), SwitchingFault)
+        << pool->workers() << " workers";
+
+    const SyntheticDut short_record(SyntheticDut::Fault::kShortStateRecord);
+    try {
+      core::estimate_driver_model(short_record, {}, pool);
+      ADD_FAILURE() << "a 50-sample state record was accepted on " << pool->workers()
+                    << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("identification record too short"),
+                std::string::npos)
+          << e.what();
     }
   }
 }
