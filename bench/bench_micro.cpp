@@ -108,24 +108,28 @@ void BM_TransientCmosInverter(benchmark::State& state) {
   }
 }
 
-void BM_CornerTransient(benchmark::State& state) {
-  // One transient_bus corner of verdictbench on one thread: two MD3 PW-RBF
-  // drivers on the 0.1 m Fig. 3 line, 1 pF far-end loads, the first
-  // pattern seed's 15-bit PRBS repeated 4 times, the far-end land
-  // streamed into a NullSink through one reused workspace (as a sweep
-  // worker runs it). Estimation runs once, outside the timed loop.
-  const auto model = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
+/// The transient_bus corner of verdictbench: two MD3 PW-RBF drivers on the
+/// 0.1 m Fig. 3 line, 1 pF far-end loads, the first pattern seed's 15-bit
+/// PRBS repeated 4 times, the far-end land streamed into a NullSink
+/// through one reused workspace (as a sweep worker runs it). `steps` = 0
+/// runs the whole pattern. Estimation runs once, outside the timed loop.
+struct BusCorner {
+  core::PwRbfDriverModel model = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
   std::string active;
-  for (int p = 0; p < 4; ++p) active += sweep::prbs_bits(1, 15);
   ckt::CoupledLineParams line = exp::mcm_fig3_params();
-  line.length = 0.1;
   ckt::TransientOptions opt;
-  opt.dt = model.ts;
-  opt.t_stop = 1e-9 * static_cast<double>(active.size());
   ckt::NewtonWorkspace ws;
   sig::NullSink sink;
-  ckt::SolveStats stats;
-  for (auto _ : state) {
+
+  explicit BusCorner(std::size_t steps) {
+    for (int p = 0; p < 4; ++p) active += sweep::prbs_bits(1, 15);
+    line.length = 0.1;
+    opt.dt = model.ts;
+    opt.t_stop = steps == 0 ? 1e-9 * static_cast<double>(active.size())
+                            : opt.dt * static_cast<double>(steps);
+  }
+
+  ckt::SolveStats run() {
     ckt::Circuit c;
     const int a1 = c.node(), a2 = c.node(), b1 = c.node(), b2 = c.node();
     ckt::add_coupled_lossy_line(c, {a1, a2}, {b1, b2}, line, model.ts);
@@ -134,7 +138,16 @@ void BM_CornerTransient(benchmark::State& state) {
     c.add<core::DriverDevice>(a1, model, active, 1e-9);
     c.add<core::DriverDevice>(a2, model, std::string(active.size(), '0'), 1e-9);
     const int probes[] = {b1};
-    stats = ckt::run_transient_streamed(c, opt, ws, probes, sink);
+    return ckt::run_transient_streamed(c, opt, ws, probes, sink);
+  }
+};
+
+void BM_CornerTransient(benchmark::State& state) {
+  // One transient_bus corner on one thread.
+  BusCorner corner(0);
+  ckt::SolveStats stats;
+  for (auto _ : state) {
+    stats = corner.run();
     benchmark::DoNotOptimize(stats);
   }
   const auto steps = static_cast<double>(stats.steps);
@@ -143,6 +156,16 @@ void BM_CornerTransient(benchmark::State& state) {
       steps, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.counters["iters_per_step"] =
       benchmark::Counter(static_cast<double>(stats.total_newton_iters) / steps);
+}
+
+void BM_CornerSetup(benchmark::State& state) {
+  // The same corner run for one step: circuit and driver construction,
+  // reset, the DC operating point, post_dc and the first step.
+  BusCorner corner(1);
+  for (auto _ : state) {
+    const ckt::SolveStats stats = corner.run();
+    benchmark::DoNotOptimize(stats);
+  }
 }
 
 /// Synthetic NARX-sized regression data: `n` rows of 5 inputs in [-2, 2].
@@ -216,6 +239,7 @@ BENCHMARK(BM_RbfEval)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_TransientRcLadder)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TransientCmosInverter)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CornerTransient)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CornerSetup)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_OlsFit)
     ->Args({4000, 8, 1})
     ->Args({4000, 16, 1})

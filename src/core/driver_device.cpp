@@ -55,13 +55,10 @@ void DriverDevice::start_step(const ckt::SimState& st) {
 void DriverDevice::stamp(ckt::Stamper& s, const ckt::SimState& st) const {
   const double v = st.v(pad_);
   if (st.dc) {
-    // Operating point: steady model current of the initial logic state,
-    // with a numeric derivative (only runs a handful of times).
-    const bool high = state_;
-    const double i0 = model_->steady_current(high, v);
-    const double h = 1e-3;
-    const double i1 = model_->steady_current(high, v + h);
-    const double g = (i1 - i0) / h;
+    // Operating point: steady model current of the initial logic state
+    // and its exact static slope.
+    double g = 0.0;
+    const double i0 = model_->steady_current(state_, v, &g);
     s.nonlinear_current(pad_, 0, i0, std::max(g, 1e-9), v);
     return;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace emc::core {
@@ -20,16 +21,53 @@ double PwRbfDriverModel::submodel_current(bool high, std::span<const double> v_h
   return d_dv ? f.eval_with_grad(reg, 0, d_dv) : f.eval(reg);
 }
 
-double PwRbfDriverModel::steady_current(bool high, double v, int iters) const {
-  std::vector<double> v_hist(static_cast<std::size_t>(orders.nv) + 1, v);
-  std::vector<double> i_hist(static_cast<std::size_t>(orders.ni), 0.0);
+double PwRbfDriverModel::steady_current(bool high, double v, double* di_dv) const {
+  const ident::RbfModel& f = high ? f_high : f_low;
+  const auto size = static_cast<std::size_t>(orders.regressor_size());
+  if (size > ident::RbfModel::kMaxInputDim)
+    throw std::invalid_argument("PwRbfDriverModel: regressor longer than the RBF input cap");
+  const auto nv = static_cast<std::ptrdiff_t>(orders.nv) + 1;
+  double reg_buf[ident::RbfModel::kMaxInputDim];
+  double grad_buf[ident::RbfModel::kMaxInputDim];
+  const std::span<double> reg(reg_buf, size), grad(grad_buf, size);
+  std::fill(reg.begin(), reg.begin() + nv, v);
+
+  // f(v..v, i..i), leaving its tap-summed slopes in df_dv and df_di.
+  double df_dv = 0.0, df_di = 0.0;
+  auto eval_at = [&](double i) {
+    std::fill(reg.begin() + nv, reg.end(), i);
+    const double y = f.eval_with_input_grad(reg, grad);
+    df_dv = std::accumulate(grad.begin(), grad.begin() + nv, 0.0);
+    df_di = std::accumulate(grad.begin() + nv, grad.end(), 0.0);
+    return y;
+  };
+  // Newton from i; false on an iterate with df/di >= 1, a non-finite step
+  // or no convergence in 30 steps.
+  auto newton = [&](double& i) {
+    for (int it = 0; it < 30; ++it) {
+      const double g = eval_at(i) - i;
+      if (!(df_di < 1.0)) return false;
+      const double step = g / (1.0 - df_di);
+      if (!std::isfinite(step)) return false;
+      i += step;
+      if (std::abs(step) <= 1e-13 + 1e-12 * std::abs(i)) return true;
+    }
+    return false;
+  };
+
   double i = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    const double i_new = submodel_current(high, v_hist, i_hist);
-    // Damped fixed-point iteration: NARX feedback can be stiff.
-    i = 0.5 * i + 0.5 * i_new;
-    for (auto& h : i_hist) h = i;
+  if (!newton(i)) {
+    // Damped fixed-point iteration (NARX feedback can be stiff), then
+    // Newton again from its end; if that fails too, the damped end stands.
+    i = 0.0;
+    for (int it = 0; it < 200; ++it) i = 0.5 * i + 0.5 * eval_at(i);
+    double polished = i;
+    if (newton(polished))
+      i = polished;
+    else
+      eval_at(i);
   }
+  if (di_dv) *di_dv = df_dv / (1.0 - df_di);
   return i;
 }
 
@@ -105,12 +143,12 @@ sig::Waveform simulate_driver_on_thevenin(const PwRbfDriverModel& m, const std::
 
   // Initial DC point: solve i_state(v) = (voc - v)/rth for the first bit.
   const bool init_high = bits[0] == '1';
-  double v = v_oc(0.0);
+  const double voc0 = v_oc(0.0);
+  double v = voc0;
   for (int it = 0; it < 60; ++it) {
-    const double f = m.steady_current(init_high, v, 60) - (v_oc(0.0) - v) / r_th;
-    const double h = 1e-4;
-    const double f2 = m.steady_current(init_high, v + h, 60) - (v_oc(0.0) - v - h) / r_th;
-    const double df = (f2 - f) / h;
+    double di_dv = 0.0;
+    const double f = m.steady_current(init_high, v, &di_dv) - (voc0 - v) / r_th;
+    const double df = di_dv + 1.0 / r_th;
     if (std::abs(df) < 1e-12) break;
     const double step = f / df;
     v -= std::clamp(step, -0.5, 0.5);

@@ -48,9 +48,27 @@ class PwRbfDriverModel {
   double submodel_current(bool high, std::span<const double> v_hist,
                           std::span<const double> i_hist, double* d_dv = nullptr) const;
 
-  /// Steady-state submodel current at a constant port voltage (fixed point
-  /// of the NARX recursion, damped iteration).
-  double steady_current(bool high, double v, int iters = 200) const;
+  /// Steady-state submodel current at a constant port voltage v: the fixed
+  /// point i = f(v..v, i..i) of the NARX recursion, i.e. the static I-V
+  /// characteristic the model presents at DC. Newton on
+  /// g(i) = f(v..v, i..i) - i from i = 0, with df/di (the gradient summed
+  /// over the current taps) from one eval_with_input_grad per iterate. It
+  /// stops when a step is at most 1e-13 A + 1e-12 |i|, the rounding floor
+  /// of the driver models' residual (~1e-13 A): about 6 evaluations, at
+  /// most 20 over MD1-MD3's identified ranges. With `di_dv` set it also
+  /// returns the exact static conductance at the returned point,
+  ///   dI/dv = (df/dv) / (1 - df/di),
+  /// with df/dv summed over the voltage taps.
+  ///
+  /// Fallback: when an iterate has df/di >= 1 (there the damped recursion
+  /// i <- (i + f) / 2 is not locally stable), a step is not finite, or 30
+  /// steps do not converge, 200 steps of that damped recursion run from
+  /// i = 0 and Newton restarts from their end; if it fails again, the
+  /// damped end is returned and the slope is taken there. This costs ~200
+  /// evaluations and runs on MD3's i_L above 4.85 V (outside its
+  /// identified range, -2.2 to 4.7 V), MD1's i_L above 4.46 V and MD2's
+  /// i_H at 2.91-3.39 V, where its static curve folds. Allocates nothing.
+  double steady_current(bool high, double v, double* di_dv = nullptr) const;
 
   /// Weights at `steps_since_edge` samples after a logic edge
   /// (`rising` selects the up sequence). Past the stored sequence the

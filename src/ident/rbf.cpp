@@ -59,6 +59,36 @@ double RbfModel::eval_with_grad(std::span<const double> x, std::size_t idx,
   return y;
 }
 
+double RbfModel::eval_with_input_grad(std::span<const double> x, std::span<double> grad) const {
+  const std::size_t d = scaler_.dim();
+  if (x.size() != d) throw std::invalid_argument("RbfModel::eval: input size mismatch");
+  if (grad.size() != d)
+    throw std::invalid_argument("RbfModel::eval_with_input_grad: gradient size mismatch");
+
+  double zbuf[kMaxInputDim];
+  if (d > kMaxInputDim) throw std::invalid_argument("RbfModel::eval: input dimension > 64");
+  std::span<double> z(zbuf, d);
+  scaler_.transform_row(x, z);
+
+  const double inv2s2 = 1.0 / (2.0 * sigma_ * sigma_);
+  const double inv_s2 = 1.0 / (sigma_ * sigma_);
+  std::fill(grad.begin(), grad.end(), 0.0);
+  double y = bias_;
+  for (std::size_t j = 0; j < weights_.size(); ++j) {
+    const auto c = centers_.row(j);
+    double dist2 = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      const double dlt = z[k] - c[k];
+      dist2 += dlt * dlt;
+    }
+    const double wphi = weights_[j] * std::exp(-dist2 * inv2s2);
+    y += wphi;
+    for (std::size_t k = 0; k < d; ++k) grad[k] -= wphi * (z[k] - c[k]) * inv_s2;
+  }
+  for (std::size_t k = 0; k < d; ++k) grad[k] /= scaler_.scale()[k];
+  return y;
+}
+
 namespace {
 
 /// Gaussian kernel value between a scaled row and a scaled center.

@@ -33,6 +33,11 @@ class RbfModel {
   /// Throws std::invalid_argument when grad is set and idx >= input_dim().
   double eval_with_grad(std::span<const double> x, std::size_t idx, double* grad) const;
 
+  /// Output and the full input gradient: grad[k] = d y / d x[k] (raw input
+  /// space) for every k < input_dim(), at the cost of one evaluation.
+  /// Throws std::invalid_argument when grad.size() != input_dim().
+  double eval_with_input_grad(std::span<const double> x, std::span<double> grad) const;
+
   /// Largest input dimension eval() accepts; callers may size stack
   /// buffers for a regressor by it.
   static constexpr std::size_t kMaxInputDim = 64;

@@ -138,6 +138,31 @@ TEST_F(AllocFree, PwRbfEvaluationAndDriverStamp) {
   EXPECT_TRUE(std::isfinite(sink + g(0, 0) + rhs[0]));
 }
 
+TEST_F(AllocFree, SteadyCurrentAllocatesNothing) {
+  // The DC side of the driver: the steady-state solve with and without its
+  // slope, the DC stamp and the reseeds of reset() and post_dc().
+  const core::PwRbfDriverModel& m = *model_;
+  core::DriverDevice drv(1, m, "01", 1e-9);
+  std::vector<double> x(1, 0.7), rhs(1, 0.0);
+  emc::linalg::Matrix g(1, 1);
+  ckt::DenseStamper st(g, rhs);
+  const ckt::SimState dc{x, x, 0.0, 0.0, true, 1.0};
+
+  double sink = 0.0;
+  const long before = allocations();
+  for (int k = 0; k < 8; ++k) {
+    const double v = -1.0 + 0.5 * k;
+    double di_dv = 0.0;
+    sink += m.steady_current(k % 2 == 0, v) + m.steady_current(k % 2 != 0, v, &di_dv) + di_dv;
+  }
+  drv.reset();
+  drv.stamp(st, dc);
+  drv.post_dc(dc);
+  const long made = allocations() - before;
+  EXPECT_EQ(made, 0);
+  EXPECT_TRUE(std::isfinite(sink + g(0, 0) + rhs[0]));
+}
+
 TEST_F(AllocFree, Fig3CornerTransientStepsAllocateNothing) {
   corner_allocations(40);  // first-use setup: metric registry, trace tables
   const long short_run = corner_allocations(400);

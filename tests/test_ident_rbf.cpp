@@ -258,6 +258,25 @@ TEST(RbfFit, GradientMatchesFiniteDifference) {
             m.eval(std::vector<double>{0.1}));
 }
 
+TEST(RbfModel, InputGradientMatchesEachPartial) {
+  // Three inputs on different scales, so the chain rule through the
+  // scaler differs per input.
+  const RbfModel m(Scaler({0.5, -1.0, 0.02}, {2.0, 0.5, 0.1}),
+                   la::Matrix{{0.1, -0.4, 1.2}, {-0.7, 0.3, 0.0}, {0.9, 0.8, -1.1}},
+                   {0.8, -1.3, 0.45}, 0.2, 1.3);
+  const std::vector<double> x{0.9, -1.2, 0.07};
+  std::vector<double> grad(3, 0.0);
+  // The value is eval's, to the bit; each entry is eval_with_grad's partial.
+  EXPECT_EQ(m.eval_with_input_grad(x, grad), m.eval(x));
+  for (std::size_t k = 0; k < 3; ++k) {
+    double partial = 0.0;
+    m.eval_with_grad(x, k, &partial);
+    EXPECT_NEAR(grad[k], partial, 1e-14 * std::max(1.0, std::abs(partial))) << "input " << k;
+  }
+  std::vector<double> short_grad(2, 0.0);
+  EXPECT_THROW(m.eval_with_input_grad(x, short_grad), std::invalid_argument);
+}
+
 TEST(RbfFit, AutoSigmaNotWorseThanFixed) {
   std::vector<double> xs, ys;
   for (int k = 0; k <= 300; ++k) {
