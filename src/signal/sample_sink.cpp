@@ -44,71 +44,4 @@ Waveform RecordingSink::waveform(std::size_t channel) const {
   return Waveform(t0, info().dt, std::move(y));
 }
 
-// ----------------------------------------------------------- DecimatingSink
-
-DecimatingSink::DecimatingSink(std::size_t factor, SampleSink& inner)
-    : factor_(factor), inner_(inner) {
-  if (factor_ == 0) throw std::invalid_argument("DecimatingSink: factor must be >= 1");
-}
-
-void DecimatingSink::begin(const StreamInfo& info) {
-  SampleSink::begin(info);
-  StreamInfo out = info;
-  out.dt = info.dt * static_cast<double>(factor_);
-  out.total_frames =
-      info.total_frames == 0 ? 0 : (info.total_frames + factor_ - 1) / factor_;
-  buf_.assign(buf_capacity_ * info.channels, 0.0);
-  buf_frames_ = 0;
-  out_first_ = 0;
-  inner_.begin(out);
-}
-
-void DecimatingSink::flush() {
-  if (buf_frames_ == 0) return;
-  SampleChunk c;
-  c.first_frame = out_first_;
-  c.frames = buf_frames_;
-  c.channels = info().channels;
-  c.data = buf_.data();
-  inner_.consume(c);
-  out_first_ += buf_frames_;
-  buf_frames_ = 0;
-}
-
-void DecimatingSink::consume(const SampleChunk& chunk) {
-  const std::size_t nch = chunk.channels;
-  // First kept frame at or after chunk.first_frame.
-  std::size_t g = ((chunk.first_frame + factor_ - 1) / factor_) * factor_;
-  for (; g < chunk.first_frame + chunk.frames; g += factor_) {
-    const double* src = chunk.data + (g - chunk.first_frame) * nch;
-    std::copy(src, src + nch, buf_.data() + buf_frames_ * nch);
-    if (++buf_frames_ == buf_capacity_) flush();
-  }
-}
-
-void DecimatingSink::finish() {
-  flush();
-  inner_.finish();
-}
-
-// ----------------------------------------------------------- ChannelTapSink
-
-ChannelTapSink::ChannelTapSink(std::size_t channel, Consumer consumer)
-    : channel_(channel), consumer_(std::move(consumer)) {
-  if (!consumer_) throw std::invalid_argument("ChannelTapSink: null consumer");
-}
-
-void ChannelTapSink::begin(const StreamInfo& info) {
-  SampleSink::begin(info);
-  if (channel_ >= info.channels)
-    throw std::invalid_argument("ChannelTapSink: channel out of range");
-}
-
-void ChannelTapSink::consume(const SampleChunk& chunk) {
-  buf_.resize(chunk.frames);
-  for (std::size_t f = 0; f < chunk.frames; ++f)
-    buf_[f] = chunk.data[f * chunk.channels + channel_];
-  consumer_(buf_);
-}
-
 }  // namespace emc::sig

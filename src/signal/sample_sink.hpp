@@ -1,9 +1,11 @@
 // Streaming sample sinks: the consumer side of the chunked transient
-// pipeline. A producer (ckt::run_transient_streamed, a file reader, a
-// test) pushes fixed-size chunks of frame-major samples through a
-// SampleSink instead of materializing the whole record, so downstream
-// consumers (Welch accumulation, segmented EMI detection, CSV export)
-// see O(chunk) memory regardless of record length.
+// pipeline. A producer (ckt::run_transient_streamed, a test) pushes
+// fixed-size chunks of frame-major samples through a SampleSink instead
+// of materializing the whole record. RecordingSink keeps only the window
+// a consumer asks for (the sweep's steady window, which is then scanned
+// in one piece), CsvStreamSink writes rows as they arrive, and NullSink
+// discards them, so the producer itself holds O(chunk) memory regardless
+// of record length.
 //
 // Protocol: begin(info) once, consume(chunk) zero or more times with
 // strictly increasing, gap-free frame ranges, finish() once after the
@@ -13,8 +15,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "signal/waveform.hpp"
@@ -37,10 +38,6 @@ struct SampleChunk {
   std::size_t frames = 0;
   std::size_t channels = 0;
   const double* data = nullptr;
-
-  std::span<const double> frame(std::size_t f) const {
-    return {data + f * channels, channels};
-  }
   double value(std::size_t f, std::size_t c) const { return data[f * channels + c]; }
 };
 
@@ -70,11 +67,7 @@ class SampleSink {
 /// (the bench baseline for "what does materializing the record add").
 class NullSink final : public SampleSink {
  public:
-  void consume(const SampleChunk& chunk) override { frames_ += chunk.frames; }
-  std::size_t frames_seen() const { return frames_; }
-
- private:
-  std::size_t frames_ = 0;
+  void consume(const SampleChunk&) override {}
 };
 
 /// Records a window [first_frame, first_frame + max_frames) of the stream
@@ -108,47 +101,6 @@ class RecordingSink final : public SampleSink {
   std::size_t first_;
   std::size_t max_;
   std::vector<double> data_;
-};
-
-/// Forwards every `factor`-th frame (global frame index % factor == 0) to
-/// an inner sink, rescaling dt. Plain decimation — callers band-limiting
-/// the signal first get an anti-aliased stream, callers probing slow nodes
-/// get cheap storage reduction.
-class DecimatingSink final : public SampleSink {
- public:
-  DecimatingSink(std::size_t factor, SampleSink& inner);
-
-  void begin(const StreamInfo& info) override;
-  void consume(const SampleChunk& chunk) override;
-  void finish() override;
-
- private:
-  void flush();
-
-  std::size_t factor_;
-  SampleSink& inner_;
-  std::size_t out_first_ = 0;       ///< global (decimated) index of buf_[0]
-  std::vector<double> buf_;         ///< frame-major staging for the inner sink
-  std::size_t buf_frames_ = 0;
-  std::size_t buf_capacity_ = 256;  ///< frames per forwarded chunk
-};
-
-/// Extracts one channel of the stream and hands its samples (contiguous,
-/// chunk by chunk) to a consumer callback — the adapter that plugs
-/// single-signal accumulators (Welch PSD, segmented EMI detection) into a
-/// multi-channel stream.
-class ChannelTapSink final : public SampleSink {
- public:
-  using Consumer = std::function<void(std::span<const double>)>;
-  ChannelTapSink(std::size_t channel, Consumer consumer);
-
-  void begin(const StreamInfo& info) override;
-  void consume(const SampleChunk& chunk) override;
-
- private:
-  std::size_t channel_;
-  Consumer consumer_;
-  std::vector<double> buf_;
 };
 
 }  // namespace emc::sig

@@ -65,8 +65,9 @@ class AllocFree : public ::testing::Test {
 
   /// Allocations made by one Fig. 3 MD3 emission-corner transient of
   /// `steps` steps (as in PortReduced.Fig3EmissionCornerMatchesReference)
-  /// streamed into a NullSink, circuit construction included.
-  static long corner_allocations(std::size_t steps) {
+  /// streamed into a NullSink in chunks of `chunk_frames` frames, circuit
+  /// construction included.
+  static long corner_allocations(std::size_t steps, std::size_t chunk_frames) {
     const long before = allocations();
     {
       const std::string active = "0110100111010010";
@@ -91,7 +92,7 @@ class AllocFree : public ::testing::Test {
       ckt::NewtonWorkspace ws;
       emc::sig::NullSink sink;
       const std::vector<int> probes{a1, b1, b2};
-      ckt::run_transient_streamed(c, opt, ws, probes, sink);
+      ckt::run_transient_streamed(c, opt, ws, probes, sink, chunk_frames);
     }
     return allocations() - before;
   }
@@ -164,9 +165,13 @@ TEST_F(AllocFree, SteadyCurrentAllocatesNothing) {
 }
 
 TEST_F(AllocFree, Fig3CornerTransientStepsAllocateNothing) {
-  corner_allocations(40);  // first-use setup: metric registry, trace tables
-  const long short_run = corner_allocations(400);
-  const long long_run = corner_allocations(1200);
+  // 64-frame chunks: the runs flush 6 and 18 full chunks, so an equal
+  // count also shows the chunk staging buffer is reused, i.e. a streamed
+  // transient holds O(chunk) memory over a record many chunks long.
+  constexpr std::size_t kChunk = 64;
+  corner_allocations(40, kChunk);  // first-use setup: metric registry, trace tables
+  const long short_run = corner_allocations(400, kChunk);
+  const long long_run = corner_allocations(1200, kChunk);
   EXPECT_EQ(long_run - short_run, 0) << "allocations per step: "
                                      << static_cast<double>(long_run - short_run) / 800.0;
 }

@@ -1,17 +1,13 @@
-// Streaming transient -> EMI pipeline: the SampleSink protocol and sinks,
+// Chunked transient -> record path: the SampleSink protocol,
 // run_transient_streamed vs. the recorded reference (bit-identical),
-// chunk-size invariance, the chunk-fed Welch accumulator (bit-identical
-// to welch_psd), and the segmented EMI receiver's detector agreement with
-// the monolithic scan across segment/overlap corners (< 0.1 dB).
+// chunk-size invariance, sink-failure handling, the RecordingSink window
+// and the CSV stream sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <numbers>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,9 +16,6 @@
 #include "circuit/devices_nonlinear.hpp"
 #include "circuit/engine.hpp"
 #include "circuit/netlist.hpp"
-#include "emc/receiver.hpp"
-#include "emc/spectrum.hpp"
-#include "emc/streaming.hpp"
 #include "signal/csv.hpp"
 #include "signal/sample_sink.hpp"
 #include "signal/waveform.hpp"
@@ -30,7 +23,6 @@
 
 namespace ckt = emc::ckt;
 namespace sig = emc::sig;
-namespace spec = emc::spec;
 
 namespace {
 
@@ -252,53 +244,6 @@ TEST(RecordingSink, WindowMatchesSliceOfFullRecord) {
   for (std::size_t k = 0; k < 7; ++k) EXPECT_EQ(tail.value(k, 0), y[250 + k]);
 }
 
-TEST(DecimatingSink, KeepsEveryMthFrameAndRescalesDt) {
-  std::vector<double> y(1000);
-  for (std::size_t k = 0; k < y.size(); ++k) y[k] = static_cast<double>(k);
-
-  sig::RecordingSink rec;
-  sig::DecimatingSink dec(7, rec);
-  stream_samples(dec, y, 2.0, 0.25, 13);  // chunk size coprime with factor
-
-  ASSERT_EQ(rec.frames(), (y.size() + 6) / 7);
-  const auto w = rec.waveform(0);
-  EXPECT_DOUBLE_EQ(w.dt(), 0.25 * 7.0);
-  EXPECT_DOUBLE_EQ(w.t0(), 2.0);
-  for (std::size_t k = 0; k < rec.frames(); ++k)
-    EXPECT_EQ(w[k], y[7 * k]) << "decimated frame " << k;
-
-  EXPECT_THROW(sig::DecimatingSink(0, rec), std::invalid_argument);
-}
-
-TEST(ChannelTapSink, ExtractsOneChannelInOrder) {
-  // Two-channel stream; the tap must deliver channel 1 contiguously.
-  const std::size_t frames = 100;
-  std::vector<double> data(frames * 2);
-  for (std::size_t f = 0; f < frames; ++f) {
-    data[2 * f] = static_cast<double>(f);
-    data[2 * f + 1] = 1000.0 + static_cast<double>(f);
-  }
-  std::vector<double> got;
-  sig::ChannelTapSink tap(1, [&](std::span<const double> x) {
-    got.insert(got.end(), x.begin(), x.end());
-  });
-  sig::StreamInfo info{0.0, 1.0, 2, frames};
-  tap.begin(info);
-  for (std::size_t f = 0; f < frames; f += 9) {
-    sig::SampleChunk c;
-    c.first_frame = f;
-    c.frames = std::min<std::size_t>(9, frames - f);
-    c.channels = 2;
-    c.data = data.data() + 2 * f;
-    tap.consume(c);
-  }
-  ASSERT_EQ(got.size(), frames);
-  for (std::size_t f = 0; f < frames; ++f) EXPECT_EQ(got[f], 1000.0 + static_cast<double>(f));
-
-  sig::ChannelTapSink bad(5, [](std::span<const double>) {});
-  EXPECT_THROW(bad.begin(info), std::invalid_argument);
-}
-
 // ------------------------------------------------------ CSV stream sink
 
 TEST(CsvStreamSink, WritesHeaderAndAllRows) {
@@ -357,189 +302,6 @@ TEST(CsvWriters, WriteFailureThrowsInsteadOfTruncating) {
   sig::CsvStreamSink sink("/dev/full", {"v"});
   EXPECT_THROW(stream_samples(sink, std::vector<double>(1 << 16, 1.0), 0.0, 1.0, 4096),
                std::runtime_error);
-}
-
-// --------------------------------------------------- Welch accumulation
-
-sig::Waveform lcg_noise(std::size_t n, double dt) {
-  std::vector<double> y(n);
-  std::uint64_t s = 0x2545F4914F6CDD1Dull;
-  for (std::size_t k = 0; k < n; ++k) {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    y[k] = static_cast<double>(s >> 11) / 9007199254740992.0 - 0.5;
-  }
-  return sig::Waveform(0.0, dt, std::move(y));
-}
-
-TEST(WelchAccumulator, BitIdenticalToMonolithicWelchPsd) {
-  const auto w = lcg_noise(10000, 1e-9);
-  for (const double overlap : {0.0, 0.5, 0.75}) {
-    for (const auto win : {spec::Window::kHann, spec::Window::kRectangular}) {
-      const auto ref = spec::welch_psd(w, 1024, win, overlap);
-
-      spec::WelchAccumulator acc(w.dt(), 1024, win, overlap);
-      // Awkward chunk sizes: smaller than, equal to, and larger than the
-      // segment, plus a 1-sample drip.
-      std::size_t pos = 0;
-      const std::size_t sizes[] = {1, 3, 17, 1024, 5000};
-      std::size_t si = 0;
-      while (pos < w.size()) {
-        const std::size_t take = std::min(sizes[si % 5], w.size() - pos);
-        acc.push(std::span<const double>(w.samples().data() + pos, take));
-        pos += take;
-        ++si;
-      }
-
-      const auto got = acc.psd();
-      EXPECT_EQ(got.df, ref.df);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t k = 0; k < ref.size(); ++k)
-        EXPECT_EQ(got.value[k], ref.value[k])
-            << "bin " << k << " overlap " << overlap;
-    }
-  }
-}
-
-TEST(WelchAccumulator, ThrowsBeforeFirstSegmentAndResets) {
-  spec::WelchAccumulator acc(1e-9, 256);
-  EXPECT_THROW(acc.psd(), std::logic_error);
-  const std::vector<double> x(300, 1.0);
-  acc.push(x);
-  EXPECT_EQ(acc.segments(), 1u);
-  EXPECT_NO_THROW(acc.psd());
-  acc.reset();
-  EXPECT_EQ(acc.segments(), 0u);
-  EXPECT_THROW(acc.psd(), std::logic_error);
-  EXPECT_GT(acc.state_bytes(), 0u);
-}
-
-// ------------------------------------------- segmented EMI accumulation
-
-/// Exactly coherent broadband test signal: harmonics of f0 = 1/(P*dt)
-/// spanning the scan band, smooth deterministic amplitudes and phases.
-/// Any whole number of periods is sampled coherently, so segmented and
-/// monolithic receivers measure the same line spectrum.
-sig::Waveform harmonic_record(std::size_t period, std::size_t periods, double dt) {
-  const double f0 = 1.0 / (static_cast<double>(period) * dt);
-  std::vector<double> y(period * periods, 0.0);
-  for (int h = 10; h <= 380; h += 3) {
-    const double a = 1.0 / (1.0 + 0.01 * static_cast<double>(h));
-    const double phi = 2.0 * std::numbers::pi * 0.618034 * static_cast<double>(h * h % 89);
-    const double om = 2.0 * std::numbers::pi * f0 * static_cast<double>(h) * dt;
-    for (std::size_t k = 0; k < y.size(); ++k)
-      y[k] += a * std::cos(om * static_cast<double>(k) + phi);
-  }
-  return sig::Waveform(0.0, dt, std::move(y));
-}
-
-TEST(SegmentedEmi, DetectorsWithinTenthDbOfMonolithicAcrossCorners) {
-  // P = 2048 @ 10 GS/s: f0 = 4.88 MHz, harmonics 10..380 cover ~49 MHz to
-  // ~1.86 GHz — every scan point sees genuine signal, no spectral nulls.
-  const std::size_t period = 2048;
-  const std::size_t periods = 4;
-  const double dt = 100e-12;
-  const auto w = harmonic_record(period, periods, dt);
-
-  spec::ReceiverSettings rx;
-  rx.name = "segmented-vs-monolithic";
-  rx.f_start = 100e6;
-  rx.f_stop = 1.6e9;
-  rx.n_points = 16;
-  rx.rbw = 25e6;
-  rx.tau_charge = 0.5e-9;
-  rx.tau_discharge = 10e-9;
-
-  const auto mono = spec::emi_scan(w, rx);
-  ASSERT_EQ(mono.skipped_points, 0u);
-
-  for (const std::size_t seg : {period, 2 * period}) {
-    for (const double overlap : {0.0, 0.5}) {
-      spec::SegmentedScanOptions opt;
-      opt.segment_len = seg;
-      opt.overlap = overlap;
-      opt.rx = rx;
-      spec::SegmentedEmiAccumulator acc(w.t0(), w.dt(), opt);
-      // Push in odd-sized chunks to exercise the carry buffer.
-      std::size_t pos = 0;
-      while (pos < w.size()) {
-        const std::size_t take = std::min<std::size_t>(777, w.size() - pos);
-        acc.push(std::span<const double>(w.samples().data() + pos, take));
-        pos += take;
-      }
-      ASSERT_GE(acc.segments(), 2u) << "seg " << seg << " overlap " << overlap;
-      const auto got = acc.result();
-      ASSERT_EQ(got.size(), mono.size());
-      EXPECT_EQ(got.skipped_points, 0u);
-      const double delta = spec::max_detector_delta_db(mono, got);
-      EXPECT_LT(delta, 0.1) << "seg " << seg << " overlap " << overlap;
-    }
-  }
-}
-
-TEST(SegmentedEmi, ResultBeforeFirstSegmentThrows) {
-  spec::SegmentedScanOptions opt;
-  opt.segment_len = 1024;
-  opt.rx.f_start = 1e8;
-  opt.rx.f_stop = 1e9;
-  opt.rx.rbw = 25e6;
-  opt.rx.tau_charge = 1e-9;
-  opt.rx.tau_discharge = 10e-9;
-  spec::SegmentedEmiAccumulator acc(0.0, 100e-12, opt);
-  EXPECT_THROW(acc.result(), std::logic_error);
-  EXPECT_THROW(spec::SegmentedEmiAccumulator(0.0, 0.0, opt), std::invalid_argument);
-}
-
-TEST(StreamingEmiSink, MatchesDirectAccumulator) {
-  const std::size_t period = 1024;
-  const double dt = 100e-12;
-  const auto w = harmonic_record(period, 3, dt);
-
-  spec::SegmentedScanOptions opt;
-  opt.segment_len = period;
-  opt.rx.name = "sink";
-  opt.rx.f_start = 2e8;
-  opt.rx.f_stop = 1.5e9;
-  opt.rx.n_points = 8;
-  opt.rx.rbw = 40e6;
-  opt.rx.tau_charge = 0.5e-9;
-  opt.rx.tau_discharge = 10e-9;
-
-  spec::SegmentedEmiAccumulator direct(w.t0(), dt, opt);
-  direct.push(std::span<const double>(w.samples()));
-  const auto want = direct.result();
-
-  // Same samples as channel 1 of a two-channel stream (channel 0 is junk
-  // the sink must ignore).
-  spec::StreamingEmiSink sink(1, opt);
-  std::vector<double> frames(2 * w.size());
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    frames[2 * k] = -7.0;
-    frames[2 * k + 1] = w[k];
-  }
-  sig::StreamInfo info{w.t0(), dt, 2, w.size()};
-  sink.begin(info);
-  for (std::size_t f = 0; f < w.size(); f += 500) {
-    sig::SampleChunk c;
-    c.first_frame = f;
-    c.frames = std::min<std::size_t>(500, w.size() - f);
-    c.channels = 2;
-    c.data = frames.data() + 2 * f;
-    sink.consume(c);
-  }
-  sink.finish();
-
-  const auto got = sink.scan();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t k = 0; k < want.size(); ++k) {
-    EXPECT_EQ(got.peak_dbuv[k], want.peak_dbuv[k]);
-    EXPECT_EQ(got.quasi_peak_dbuv[k], want.quasi_peak_dbuv[k]);
-    EXPECT_EQ(got.average_dbuv[k], want.average_dbuv[k]);
-  }
-
-  spec::StreamingEmiSink bad(7, opt);
-  EXPECT_THROW(bad.begin(info), std::invalid_argument);
-  spec::StreamingEmiSink unused(0, opt);
-  EXPECT_THROW(unused.scan(), std::logic_error);
 }
 
 }  // namespace
