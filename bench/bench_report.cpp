@@ -13,8 +13,9 @@
 //
 //   [B] profile coverage — a single-threaded traced sweep through the
 //       transient -> scan pipeline, aggregated by obs::Profile, must
-//       attribute >= 80% of the traced sweep wall time to the
-//       newton_step / transient / scan span sites (self time), with zero
+//       attribute >= 80% of the traced sweep wall time to the named
+//       pipeline span sites (self time of newton_step, transient, scan,
+//       dc, build and mask), with zero
 //       ring drops. The profile, resource samples and collapsed stacks
 //       land in REPORT_report.json / report_profile.folded.
 //
@@ -64,15 +65,19 @@ using bench::seconds_since;
 // transient's solver stats.
 sweep::CornerResult rc_scan_corner(const sweep::Scenario& sc, sweep::Workspace& ws) {
   ckt::Circuit c;
-  const int in = c.node();
-  const int out = c.node();
-  // Square-ish drive so the scan sees harmonics, not just a settled step.
-  const double vdd = 1.0 * sc.vdd_scale;
-  c.add<ckt::VSource>(in, c.ground(), [vdd](double t) {
-    return std::fmod(t * 1e7, 1.0) < 0.5 ? 0.0 : vdd;
-  });
-  c.add<ckt::Resistor>(in, out, 1e3 * (1.0 + sc.line_length));
-  c.add<ckt::Capacitor>(out, c.ground(), sc.load_c);
+  int out = 0;
+  {
+    obs::Span span("build");
+    const int in = c.node();
+    out = c.node();
+    // Square-ish drive so the scan sees harmonics, not just a settled step.
+    const double vdd = 1.0 * sc.vdd_scale;
+    c.add<ckt::VSource>(in, c.ground(), [vdd](double t) {
+      return std::fmod(t * 1e7, 1.0) < 0.5 ? 0.0 : vdd;
+    });
+    c.add<ckt::Resistor>(in, out, 1e3 * (1.0 + sc.line_length));
+    c.add<ckt::Capacitor>(out, c.ground(), sc.load_c);
+  }
 
   ckt::TransientOptions opt;
   opt.dt = 1e-9;
@@ -90,6 +95,7 @@ sweep::CornerResult rc_scan_corner(const sweep::Scenario& sc, sweep::Workspace& 
   rx.tau_discharge = 30e-9;
   const auto scan = ws.scanner.scan(v, rx);
 
+  obs::Span span("mask");
   spec::LimitMask mask{"report-mask", {{1e6, 120.0}, {1e8, 120.0}}};
   return {.report = spec::check_compliance(scan.freq, scan.peak_dbuv, mask, sc.label(),
                                            scan.skipped_points),
@@ -297,15 +303,16 @@ int main(int argc, char** argv) {
 
   const std::int64_t sweep_total =
       profile.spans().count("sweep") ? profile.spans().at("sweep").total_ns : 0;
-  const std::int64_t attributed = profile.self_ns("newton_step") +
-                                  profile.self_ns("transient") + profile.self_ns("scan");
+  std::int64_t attributed = 0;
+  for (const char* site : {"newton_step", "transient", "scan", "dc", "build", "mask"})
+    attributed += profile.self_ns(site);
   const double coverage =
       sweep_total > 0 ? static_cast<double>(attributed) / static_cast<double>(sweep_total)
                       : 0.0;
   const bool profile_ok = tracer.dropped() == 0 && !profile.truncated() &&
                           coverage >= 0.80 && coverage <= 1.0 + 1e-9;
   ok &= profile_ok;
-  std::printf("[B] profile: %zu events, %zu dropped; newton_step+transient+scan self = "
+  std::printf("[B] profile: %zu events, %zu dropped; pipeline span self time = "
               "%.1f%% of sweep (>= 80%% required): %s\n",
               profile.events(), static_cast<std::size_t>(tracer.dropped()),
               100.0 * coverage, profile_ok ? "ok" : "FAILED");

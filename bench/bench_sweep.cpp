@@ -125,15 +125,9 @@ int main(int argc, char** argv) {
               outn.summary.passed, outn.summary.failed, outn.summary.worst_margin_db,
               outn.summary.worst_corner, outn.summary.worst_label.c_str());
   // The streamed corner pipeline: what a worker actually held per corner
-  // (chunk staging + steady-state record) vs. the monolithic full record
-  // the legacy path would have materialized.
-  std::printf("record memory/corner: streamed %.1f KiB vs monolithic %.1f KiB (%.1fx)\n",
-              static_cast<double>(outn.summary.peak_streamed_record_bytes) / 1024.0,
-              static_cast<double>(outn.summary.peak_monolithic_record_bytes) / 1024.0,
-              outn.summary.peak_streamed_record_bytes > 0
-                  ? static_cast<double>(outn.summary.peak_monolithic_record_bytes) /
-                        static_cast<double>(outn.summary.peak_streamed_record_bytes)
-                  : 0.0);
+  // (chunk staging + steady-state record).
+  std::printf("record memory/corner: streamed %.1f KiB\n",
+              static_cast<double>(outn.summary.peak_streamed_record_bytes) / 1024.0);
 
   // Worst corner per swept axis value — the table an EMC engineer reads
   // to find which knob drives the failures.

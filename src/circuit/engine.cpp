@@ -142,11 +142,9 @@ SolveStats run_transient_streamed(Circuit& ckt, const TransientOptions& opt,
     if (dev->phases() & Device::kStepHooks) stepped.push_back(dev.get());
 
   SolveStats stats;
-  if (opt.dc_start) {
-    detail::dc_operating_point_impl(ckt, ws, linear, x, opt, &stats);
-    SimState st{x, x, opt.t_start, 0.0, true, 1.0};
-    for (const auto& dev : ckt.devices()) dev->post_dc(st);
-  }
+  detail::dc_operating_point_impl(ckt, ws, linear, x, opt, &stats);
+  const SimState dc_state{x, x, opt.t_start, 0.0, true, 1.0};
+  for (const auto& dev : ckt.devices()) dev->post_dc(dc_state);
 
   const auto n_steps =
       static_cast<std::size_t>(std::llround((opt.t_stop - opt.t_start) / opt.dt));

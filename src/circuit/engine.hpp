@@ -23,11 +23,12 @@ namespace emc::ckt {
 ///
 /// kAuto picks per run and per mode (DC stamps a different topology than
 /// the transient): dense when the system is small (n <
-/// sparse_min_unknowns, skipping even the pattern pass — identical cost
+/// kSparseMinUnknowns, skipping even the pattern pass — identical cost
 /// and results to the pre-sparse engine), otherwise a structure-discovery
-/// pass decides by pattern density. kDense / kSparse force a backend.
-/// The selection is a pure function of the circuit structure and the
-/// options, never of values, so sweeps stay deterministic.
+/// pass decides by pattern density (kSparseMaxDensity). kDense / kSparse
+/// force a backend. The selection is a pure function of the circuit
+/// structure and the options, never of values, so sweeps stay
+/// deterministic.
 enum class SolverKind { kAuto, kDense, kSparse };
 
 struct TransientOptions {
@@ -41,7 +42,6 @@ struct TransientOptions {
   double tol = 1e-6;
   double dx_limit = 0.5;   ///< Newton damping: max |dx| per iteration
   double gmin = 1e-12;     ///< diagonal leakage keeping the system regular
-  bool dc_start = true;    ///< compute the operating point before stepping
   /// Factor the x-independent part of the system once per (dt, dc, gmin)
   /// configuration: the port-reduced path (PortSystem). The linear
   /// devices are factored in bordered form around the port unknowns the
@@ -56,13 +56,9 @@ struct TransientOptions {
   bool cache_lu = true;
 
   /// Linear-system backend; see SolverKind. kAuto keeps every circuit
-  /// below sparse_min_unknowns on the dense path bit-identically to the
+  /// below kSparseMinUnknowns on the dense path bit-identically to the
   /// pre-sparse engine.
   SolverKind solver = SolverKind::kAuto;
-  /// kAuto: smallest unknown count worth a structure pass.
-  std::size_t sparse_min_unknowns = 64;
-  /// kAuto: densest pattern (nnz / n^2) still solved sparsely.
-  double sparse_max_density = 0.25;
 
   /// Run identity for failure reports and the fault-injection harness
   /// (the sweep layer sets it to the corner's transient key). Carried
@@ -72,7 +68,7 @@ struct TransientOptions {
   /// Cooperative wall-clock deadline: checked once per time step and once
   /// per Newton iteration; expiry throws robust::SolveError
   /// (kDeadlineExceeded). Null = no deadline. The pointee must outlive
-  /// the run; the retry ladder arms a fresh one per attempt.
+  /// the run.
   const robust::Deadline* deadline = nullptr;
 };
 
@@ -90,6 +86,11 @@ struct SparseSystem {
   linalg::SparseMatrix a;
   linalg::SparseLu lu;
 };
+
+/// SolverKind::kAuto: smallest unknown count worth a structure pass.
+inline constexpr std::size_t kSparseMinUnknowns = 64;
+/// SolverKind::kAuto: densest pattern (nnz / n^2) still solved sparsely.
+inline constexpr double kSparseMaxDensity = 0.25;
 
 /// Port-reduced solve state (TransientOptions::cache_lu). P is the set of
 /// unknowns the nonlinear devices stamp into (row, column or rhs row); all

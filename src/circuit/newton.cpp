@@ -21,7 +21,6 @@ robust::FaultCtx fault_ctx(const TransientOptions& opt) {
   robust::FaultCtx ctx;
   ctx.key = opt.context;
   ctx.solver = static_cast<int>(opt.solver);
-  ctx.dt = opt.dt;
   ctx.gmin = opt.gmin;
   ctx.dx_limit = opt.dx_limit;
   return ctx;
@@ -65,7 +64,7 @@ std::vector<linalg::SparseCoord> stamp_pattern(Circuit& ckt, const SimState& sta
 SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& state,
                              bool dc, const TransientOptions& opt, std::size_t n) {
   if (opt.solver == SolverKind::kDense) return nullptr;
-  if (opt.solver == SolverKind::kAuto && n < opt.sparse_min_unknowns) return nullptr;
+  if (opt.solver == SolverKind::kAuto && n < kSparseMinUnknowns) return nullptr;
 
   SparseSystem& s = dc ? ws.sp_dc : ws.sp_tr;
   if (!s.pattern_ready) {
@@ -81,7 +80,7 @@ SparseSystem* resolve_sparse(Circuit& ckt, NewtonWorkspace& ws, const SimState& 
   if (s.use_sparse < 0) {
     const bool dense_enough =
         static_cast<double>(s.pattern.nnz()) <=
-        opt.sparse_max_density * static_cast<double>(n) * static_cast<double>(n);
+        kSparseMaxDensity * static_cast<double>(n) * static_cast<double>(n);
     s.use_sparse = (opt.solver == SolverKind::kSparse || dense_enough) ? 1 : 0;
   }
   return s.use_sparse == 1 ? &s : nullptr;

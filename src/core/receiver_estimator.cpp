@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace emc::core {
@@ -50,7 +51,27 @@ ParametricReceiverModel estimate_receiver_model(const ReceiverDut& dut,
     }
     ident::RbfFitOptions o = opt.rbf;
     o.max_basis = opt.max_basis_clamp;
-    return ident::fit_rbf_auto(x, y, o);
+
+    // Kernel width: the best one-step squared error on the last quarter
+    // of the record, held out along time from a fit on the first three
+    // quarters. The winning width is then refit on every row.
+    static constexpr double kSigmaGrid[] = {0.7, 1.0, 1.5, 2.2, 3.2};
+    const int basis_grid[] = {o.max_basis};
+    const std::size_t n_train = std::max<std::size_t>(n_rows * 3 / 4, 1);
+    linalg::Matrix x_train(n_train, taps);
+    std::copy_n(x.data(), n_train * taps, x_train.data());
+    const auto held_out_error = [&](const ident::RbfModel& fit) {
+      double err = 0.0;
+      for (std::size_t r = n_train; r < n_rows; ++r) {
+        const double e = fit.eval(x.row(r)) - y[r];
+        err += e * e;
+      }
+      return err;
+    };
+    o.sigma = ident::fit_rbf_best(x_train, std::span(y).first(n_train), o, kSigmaGrid,
+                                  basis_grid, held_out_error)
+                  .sigma();
+    return ident::OlsPath(x, y, o).model(static_cast<std::size_t>(o.max_basis));
   };
 
   m.up = fit_clamp(dut.vdd() - 0.15, dut.vdd() + opt.v_beyond, opt.seed + 11);

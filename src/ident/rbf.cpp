@@ -349,12 +349,6 @@ RbfModel OlsPath::model(std::size_t n_basis) const {
                   std::vector<double>(w.begin() + 1, w.end()), w[0], sigma_);
 }
 
-RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
-                     const RbfFitOptions& opt) {
-  const OlsPath path(x, y, opt);
-  return path.model(static_cast<std::size_t>(opt.max_basis));
-}
-
 RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       const RbfFitOptions& base, std::span<const double> sigma_grid,
                       std::span<const int> basis_grid,
@@ -408,43 +402,6 @@ RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
   if (best == models.size())
     throw std::runtime_error("fit_rbf_best: every candidate model scored non-finite");
   return std::move(models[best]);
-}
-
-RbfModel fit_rbf_auto(const linalg::Matrix& x, std::span<const double> y, RbfFitOptions opt,
-                      std::span<const double> sigma_grid) {
-  static constexpr double kDefaultGrid[] = {0.7, 1.0, 1.5, 2.2, 3.2};
-  std::span<const double> grid =
-      sigma_grid.empty() ? std::span<const double>(kDefaultGrid) : sigma_grid;
-
-  const std::size_t n = x.rows();
-  const std::size_t n_train = std::max<std::size_t>(n * 3 / 4, 1);
-
-  // Train/validation split along time (the records are time series).
-  linalg::Matrix x_train(n_train, x.cols());
-  std::vector<double> y_train(n_train);
-  for (std::size_t r = 0; r < n_train; ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) x_train(r, c) = x(r, c);
-    y_train[r] = y[r];
-  }
-
-  double best_err = std::numeric_limits<double>::infinity();
-  double best_sigma = grid[0];
-  for (double s : grid) {
-    RbfFitOptions o = opt;
-    o.sigma = s;
-    const RbfModel m = fit_rbf_ols(x_train, y_train, o);
-    double err = 0.0;
-    for (std::size_t r = n_train; r < n; ++r) {
-      const double e = m.eval(x.row(r)) - y[r];
-      err += e * e;
-    }
-    if (err < best_err) {
-      best_err = err;
-      best_sigma = s;
-    }
-  }
-  opt.sigma = best_sigma;
-  return fit_rbf_ols(x, y, opt);  // refit on everything with the winner
 }
 
 std::vector<double> simulate_narx(const RbfModel& model, NarxOrders ord,

@@ -69,10 +69,6 @@ struct RbfFitOptions {
   std::uint64_t seed = 1;    ///< candidate subsampling seed
 };
 
-/// Fit with fixed kernel width.
-RbfModel fit_rbf_ols(const linalg::Matrix& x, std::span<const double> y,
-                     const RbfFitOptions& opt);
-
 /// Candidate kernel columns of an OLS path, one heap block per candidate,
 /// reusable by later paths. A path resizes the columns it needs and
 /// overwrites every entry before reading it, so a workspace left by
@@ -143,11 +139,6 @@ RbfModel fit_rbf_best(const linalg::Matrix& x, std::span<const double> y,
                       std::span<const int> basis_grid,
                       const std::function<double(const RbfModel&)>& score,
                       sweep::ThreadPool* pool = nullptr, OlsWorkspace* ws = nullptr);
-
-/// Fit trying several kernel widths, keeping the best one-step-ahead
-/// validation error on the last quarter of the data.
-RbfModel fit_rbf_auto(const linalg::Matrix& x, std::span<const double> y, RbfFitOptions opt,
-                      std::span<const double> sigma_grid = {});
 
 /// Free-run (simulation-mode) NARX response: feeds model predictions back
 /// into the current taps. `v` is the full input sequence, `i_init` holds

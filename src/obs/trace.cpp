@@ -21,17 +21,20 @@ std::atomic<std::uint64_t> g_tracer_generation{1};
 
 /// Fixed-capacity event ring owned by one recording thread. Only that
 /// thread pushes; exporters read under the tracer mutex after quiescence.
+/// The storage is reserved, not filled: a page is touched only when an
+/// event is first written to it, so an idle ring costs no memory traffic.
 struct Tracer::ThreadRing {
   ThreadRing(std::uint32_t tid, std::size_t capacity, std::int64_t epoch_ns)
-      : tid_(tid), epoch_ns_(epoch_ns), buf_(capacity) {}
+      : tid_(tid), epoch_ns_(epoch_ns), capacity_(capacity) {
+    buf_.reserve(capacity);
+  }
 
   void push(const TraceEvent& e) {
-    if (count_ < buf_.size()) {
-      buf_[(head_ + count_) % buf_.size()] = e;
-      ++count_;
+    if (buf_.size() < capacity_) {
+      buf_.push_back(e);
     } else {
       buf_[head_] = e;  // overwrite the oldest retained event
-      head_ = (head_ + 1) % buf_.size();
+      head_ = (head_ + 1) % capacity_;
       ++dropped_;
     }
   }
@@ -39,9 +42,9 @@ struct Tracer::ThreadRing {
   std::uint32_t tid_;
   std::int64_t epoch_ns_;    ///< the owning tracer's epoch
   std::uint32_t depth_ = 0;  ///< open spans on this thread
-  std::vector<TraceEvent> buf_;
-  std::size_t head_ = 0;   ///< oldest retained event
-  std::size_t count_ = 0;  ///< retained events
+  std::size_t capacity_;
+  std::vector<TraceEvent> buf_;  ///< grows to capacity_, then wraps
+  std::size_t head_ = 0;  ///< oldest retained event
   std::uint64_t dropped_ = 0;
 };
 
@@ -111,7 +114,7 @@ std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<TraceEvent> out;
   for (const auto& r : rings_) {
-    for (std::size_t i = 0; i < r->count_; ++i)
+    for (std::size_t i = 0; i < r->buf_.size(); ++i)
       out.push_back(r->buf_[(r->head_ + i) % r->buf_.size()]);
   }
   // Events are pushed at span *end*, so rings are ordered by end time;

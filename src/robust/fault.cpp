@@ -31,7 +31,6 @@ bool FaultPlan::fire(FaultSite site, const FaultCtx& ctx) {
     // Stateless sparing first: a spared probe consumes no budget, so the
     // heal point depends only on the attempt's options, never on history.
     if (s.spare_dense && ctx.solver == kSolverDenseAsInt) continue;
-    if (s.spare_dt_below > 0.0 && ctx.dt < s.spare_dt_below) continue;
     if (s.spare_gmin_at_least > 0.0 && ctx.gmin >= s.spare_gmin_at_least) continue;
     if (s.spare_dx_limit_below > 0.0 && ctx.dx_limit < s.spare_dx_limit_below) continue;
     if (slot.spec.skip > 0) {

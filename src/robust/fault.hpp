@@ -47,7 +47,6 @@ inline constexpr int kSolverDenseAsInt = 1;
 struct FaultCtx {
   std::string_view key;  ///< TransientOptions::context
   int solver = -1;       ///< ckt::SolverKind of the attempt, as int
-  double dt = 0.0;
   double gmin = 0.0;
   double dx_limit = 0.0;
 };
@@ -64,7 +63,6 @@ struct FaultSpec {
   // Escalation-aware sparing: the fault heals once a retry attempt clears
   // the bar (checked statelessly per probe, so healing is deterministic).
   bool spare_dense = false;          ///< don't fire when solver == kDense
-  double spare_dt_below = 0.0;       ///< don't fire when dt < this
   double spare_gmin_at_least = 0.0;  ///< don't fire when gmin >= this
   double spare_dx_limit_below = 0.0; ///< don't fire when dx_limit < this
 };

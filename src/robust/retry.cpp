@@ -9,23 +9,21 @@ namespace emc::robust {
 const char* retry_stage_name(int attempt) {
   switch (attempt) {
     case 0: return "base";
-    case 1: return "dt/2";
-    case 2: return "dense";
-    case 3: return "gmin";
-    case 4: return "damp";
+    case 1: return "dense";
+    case 2: return "gmin";
+    case 3: return "damp";
   }
   return "beyond";
 }
 
 ckt::TransientOptions escalate(const ckt::TransientOptions& base, int attempt) {
   ckt::TransientOptions o = base;
-  if (attempt >= 1) o.dt = base.dt * 0.5;
-  if (attempt >= 2) o.solver = ckt::SolverKind::kDense;
-  if (attempt >= 3) {
+  if (attempt >= 1) o.solver = ckt::SolverKind::kDense;
+  if (attempt >= 2) {
     o.gmin = std::max(o.gmin, 1e-9);
     o.max_newton *= 2;
   }
-  if (attempt >= 4) {
+  if (attempt >= 3) {
     o.dx_limit *= 0.25;
     o.max_newton *= 2;
   }
@@ -39,18 +37,11 @@ RetryOutcome run_with_escalation(
   static const obs::Counter c_recovered("robust.retry.recovered");
   static const obs::Counter c_exhausted("robust.retry.exhausted");
 
-  const int max_attempts =
-      policy.enabled ? std::clamp(policy.max_attempts, 1, kMaxLadderStages) : 1;
+  const int n_attempts = policy.enabled ? kMaxLadderStages : 1;
 
   RetryOutcome out;
-  for (int a = 0; a < max_attempts; ++a) {
-    ckt::TransientOptions opt = escalate(base, a);
-    if (!policy.refine_dt) opt.dt = base.dt;
-    Deadline deadline;
-    if (policy.enabled && policy.deadline_s > 0.0) {
-      deadline = Deadline::after(policy.deadline_s);
-      opt.deadline = &deadline;
-    }
+  for (int a = 0; a < n_attempts; ++a) {
+    const ckt::TransientOptions opt = escalate(base, a);
     ++out.attempts;
     c_attempts.add();
     try {
@@ -60,7 +51,7 @@ RetryOutcome run_with_escalation(
       return out;
     } catch (const SolveError& e) {
       out.failures.push_back(AttemptRecord{a, retry_stage_name(a), e.what()});
-      if (a + 1 >= max_attempts) {
+      if (a + 1 >= n_attempts) {
         c_exhausted.add();
         SolveErrorInfo info = e.info();
         info.attempts = out.attempts;

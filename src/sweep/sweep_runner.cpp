@@ -39,16 +39,6 @@ ckt::TransientOptions emission_base_options(const EmissionSweepConfig& cfg,
   return opt;
 }
 
-/// cfg.retry with dt refinement forced off: the emission transient's
-/// engine step is pinned to the macromodel's sampling time Ts
-/// (DriverDevice rejects any other dt), so the ladder's "dt/2" stage must
-/// degrade to a plain re-attempt at the base step.
-robust::RetryPolicy emission_retry_policy(const EmissionSweepConfig& cfg) {
-  robust::RetryPolicy p = cfg.retry;
-  p.refine_dt = false;
-  return p;
-}
-
 /// The corner circuit: two drivers from the shared macromodel on the
 /// lossy coupled line, both far ends loaded. Returns the measured far-end
 /// land (the only probe).
@@ -207,8 +197,6 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
     // Memory footprints count for every corner that ran, covered or not.
     s.peak_streamed_record_bytes =
         std::max(s.peak_streamed_record_bytes, r.streamed_record_bytes);
-    s.peak_monolithic_record_bytes =
-        std::max(s.peak_monolithic_record_bytes, r.monolithic_record_bytes);
     if (rep.points.empty()) {
       ++s.uncovered;
       continue;
@@ -423,8 +411,6 @@ obs::Json corner_journal_json(const CornerResult& r) {
   o.set("scan_crossings", obs::Json::integer(static_cast<long>(r.scan.crossings)));
   o.set("streamed_bytes",
         obs::Json::integer(static_cast<long>(r.streamed_record_bytes)));
-  o.set("monolithic_bytes",
-        obs::Json::integer(static_cast<long>(r.monolithic_record_bytes)));
   o.set("solve", solve_stats_exact_json(r.solve));
 
   auto rep = obs::Json::object();
@@ -474,8 +460,6 @@ CornerResult restore_corner(const obs::Json& entry, const CornerGrid& grid) {
   r.scan.refined_points = journal_count(entry.at("scan_refined"), "scan_refined");
   r.scan.crossings = journal_count(entry.at("scan_crossings"), "scan_crossings");
   r.streamed_record_bytes = journal_count(entry.at("streamed_bytes"), "streamed_bytes");
-  r.monolithic_record_bytes =
-      journal_count(entry.at("monolithic_bytes"), "monolithic_bytes");
   r.solve = solve_stats_from_json(entry.at("solve"));
 
   const obs::Json& rep = entry.at("report");
@@ -562,7 +546,12 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
     const bool hit = ws.memo_fn == fn_id && ws.memo_key == memo_key;
     (hit ? c_hits : c_misses).add();
     if (!hit) {
+      const ckt::TransientOptions base = emission_base_options(cfg, sc);
+      // Drop the first pattern period as startup transient and keep whole
+      // periods, so harmonics stay coherently sampled. The ladder never
+      // changes dt, so the window is the same frame count on every attempt.
       const double period = cfg.bit_time * static_cast<double>(sc.bits.size());
+      const auto per_period = static_cast<std::size_t>(std::lround(period / base.dt));
       CornerResult memo;
       sig::Waveform record;
       // The transient runs under the retry/escalation ladder: a failing
@@ -572,21 +561,15 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
       // everything per attempt and writes only locals; the memo is
       // committed once the ladder succeeds.
       const robust::RetryOutcome ro = robust::run_with_escalation(
-          emission_retry_policy(cfg), emission_base_options(cfg, sc),
-          [&](const ckt::TransientOptions& opt) {
+          cfg.retry, base, [&](const ckt::TransientOptions& opt) {
             // Per-corner circuit: everything mutable lives here; the
             // macromodel is shared const across workers.
             ckt::Circuit c;
             const int probes[] = {build_emission_circuit(cfg, sc, c)};
-            // The ladder may have halved dt; the steady-state window is a
-            // frame count, so compute it against the attempt's step.
-            const auto per_period = static_cast<std::size_t>(std::lround(period / opt.dt));
 
             // Streamed transient: probe only the measured land and record
-            // only the steady-state window (drop the first pattern period
-            // as startup transient, keep whole periods so harmonics stay
-            // coherently sampled). The engine never materializes the full
-            // all-unknowns record.
+            // only the steady-state window. The engine never materializes
+            // the full all-unknowns record.
             sig::RecordingSink rec(per_period,
                                    per_period * static_cast<std::size_t>(cfg.periods - 1));
             memo.solve =
@@ -595,12 +578,7 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
             // record — move it out instead of copying through waveform().
             record = sig::Waveform(opt.t_start + opt.dt * static_cast<double>(per_period),
                                    opt.dt, std::move(rec).take_data());
-
-            const auto n_unknowns = static_cast<std::size_t>(c.finalize());
-            const auto n_frames =
-                static_cast<std::size_t>(std::llround(opt.t_stop / opt.dt)) + 1;
             memo.streamed_record_bytes = (kChunkFrames + record.size()) * sizeof(double);
-            memo.monolithic_record_bytes = n_frames * n_unknowns * sizeof(double);
           });
       memo.solve_attempts = ro.attempts;
       memo.recovered = ro.recovered;
@@ -854,8 +832,6 @@ obs::Json summary_json(const CornerGrid& grid, const SweepSummary& s) {
 
   o.set("peak_streamed_record_bytes",
         obs::Json::integer(static_cast<long>(s.peak_streamed_record_bytes)));
-  o.set("peak_monolithic_record_bytes",
-        obs::Json::integer(static_cast<long>(s.peak_monolithic_record_bytes)));
 
   auto hist = obs::Json::object();
   hist.set("lo_db", obs::Json::number(s.histogram.lo_db));

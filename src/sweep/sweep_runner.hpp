@@ -65,11 +65,9 @@ struct CornerResult {
   double wall_s = 0.0;
 
   /// Peak transient-record bytes of the streamed pipeline for this corner
-  /// (chunk staging + retained steady-state record) and the monolithic
-  /// full-record footprint it replaced. Deterministic per scenario; 0 when
-  /// the corner function does not report memory.
+  /// (chunk staging + retained steady-state record). Deterministic per
+  /// scenario; 0 when the corner function does not report memory.
   std::size_t streamed_record_bytes = 0;
-  std::size_t monolithic_record_bytes = 0;
 
   /// Solver statistics of the transient behind this corner's record.
   /// Memo hits repeat the producing corner's stats (pure per memo key),
@@ -192,11 +190,9 @@ struct SweepSummary {
   /// as axis_worst.
   std::vector<std::vector<std::size_t>> axis_solver_failed;
 
-  /// Max over corners of the per-corner record footprints: what the
-  /// streamed transient path held at peak vs. what a monolithic
-  /// full-record run would have held (0 when corners report no memory).
+  /// Max over corners of the per-corner streamed record footprint (0 when
+  /// corners report no memory).
   std::size_t peak_streamed_record_bytes = 0;
-  std::size_t peak_monolithic_record_bytes = 0;
 
   MarginHistogram histogram;
 
@@ -433,9 +429,7 @@ struct EmissionSweepConfig {
   /// robust::RetryPolicy). The default retries; retry.enabled = false is
   /// the pre-robustness single-attempt path, byte-identical when nothing
   /// fails. The ladder schedule is a pure function of the corner, so
-  /// retried sweeps stay deterministic for any worker count. refine_dt is
-  /// forced off internally: the engine step is pinned to the macromodel's
-  /// sampling time Ts, so the "dt/2" stage runs as a plain re-attempt.
+  /// retried sweeps stay deterministic for any worker count.
   robust::RetryPolicy retry;
 
   /// How each corner lays out its receiver scan: kFixed runs the classic

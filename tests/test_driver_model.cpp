@@ -19,6 +19,7 @@
 #include "devices/reference_driver.hpp"
 #include "signal/sources.hpp"
 #include "sweep/thread_pool.hpp"
+#include "test_model_hash.hpp"
 
 using namespace emc;
 
@@ -271,26 +272,6 @@ TEST_F(DriverModelTest, SimulatorInputValidation) {
 
 namespace {
 
-/// FNV-1a over the bytes of everything estimation produces: each
-/// submodel's sigma, bias, scaler, centres and weights, then the up and
-/// down weight sequences. Equal hashes mean bit-identical models.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(const double* p, std::size_t n) {
-    const auto* b = reinterpret_cast<const unsigned char*>(p);
-    for (std::size_t k = 0; k < n * sizeof(double); ++k) h = (h ^ b[k]) * 1099511628211ull;
-  }
-  void add(const std::vector<double>& v) { add(v.data(), v.size()); }
-  void add(const ident::RbfModel& m) {
-    const double sb[] = {m.sigma(), m.bias()};
-    add(sb, 2);
-    add(m.scaler().mean());
-    add(m.scaler().scale());
-    add(m.centers().data(), m.centers().rows() * m.centers().cols());
-    add(m.weights());
-  }
-};
-
 /// The RBF submodels alone: what the OLS fits produce.
 std::uint64_t submodel_hash(const core::PwRbfDriverModel& m) {
   Fnv1a f;
@@ -299,6 +280,8 @@ std::uint64_t submodel_hash(const core::PwRbfDriverModel& m) {
   return f.h;
 }
 
+/// Everything estimation produces: the submodels, then the up and down
+/// weight sequences.
 std::uint64_t model_hash(const core::PwRbfDriverModel& m) {
   Fnv1a f;
   f.add(m.f_high);

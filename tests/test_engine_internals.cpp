@@ -271,32 +271,64 @@ TEST(SparseSolver, MatchesDenseOnNonlinearCircuit) {
 }
 
 TEST(SparseSolver, AutoSelectionByProblemSize) {
-  // kAuto on a 5-unknown circuit must not even build a sparse pattern (the
-  // dense path is bit-identical to the pre-sparse engine); shrinking the
-  // threshold flips the same circuit onto the sparse backend.
-  ckt::Circuit c;
-  build_rlc(c);
-  auto opt = rlc_options();
+  // kAuto below kSparseMinUnknowns must not even build a sparse pattern
+  // (the dense path is bit-identical to the pre-sparse engine).
+  {
+    ckt::Circuit c;
+    build_rlc(c);  // 5 unknowns
+    ckt::NewtonWorkspace ws;
+    ckt::run_transient(c, rlc_options(), ws);
+    EXPECT_FALSE(ws.sp_tr.pattern_ready);
+    EXPECT_EQ(ws.sp_tr.lu.stats().refactors, 0);
+  }
 
-  ckt::NewtonWorkspace ws;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_FALSE(ws.sp_tr.pattern_ready);
-  EXPECT_EQ(ws.sp_tr.lu.stats().refactors, 0);
+  // kSparseMinUnknowns nodes, each loaded to ground and driven through
+  // `link(c, nodes)`: 64 nodes plus the source's branch current. Returns
+  // what the transient's backend decision left behind.
+  struct Decision {
+    bool pattern_ready;
+    double density;  ///< nnz / n^2 of the pattern
+    int use_sparse;
+    long refactors;
+  };
+  const auto run_network = [](const auto& link) {
+    ckt::Circuit c;
+    std::vector<int> nodes(ckt::kSparseMinUnknowns);
+    for (int& n : nodes) n = c.node();
+    c.add<ckt::VSource>(nodes[0], 0, [](double t) { return t < 1e-9 ? 0.0 : 3.3; });
+    for (std::size_t k = 1; k < nodes.size(); ++k) c.add<ckt::Capacitor>(nodes[k], 0, 1e-12);
+    link(c, nodes);
+    EXPECT_GE(static_cast<std::size_t>(c.finalize()), ckt::kSparseMinUnknowns);
+    ckt::NewtonWorkspace ws;
+    ckt::run_transient(c, rlc_options(), ws);
+    const auto n = static_cast<double>(ws.sp_tr.pattern.n());
+    return Decision{ws.sp_tr.pattern_ready,
+                    static_cast<double>(ws.sp_tr.pattern.nnz()) / (n * n),
+                    ws.sp_tr.use_sparse, static_cast<long>(ws.sp_tr.lu.stats().refactors)};
+  };
 
-  // Past the size gate but failing the density rule (a 5-unknown MNA
-  // pattern is nowhere near 25% sparse): the pattern is built for the
-  // decision, then the dense backend is kept.
-  opt.sparse_min_unknowns = 1;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_TRUE(ws.sp_tr.pattern_ready);
-  EXPECT_EQ(ws.sp_tr.use_sparse, 0);
-  EXPECT_EQ(ws.sp_tr.lu.stats().refactors, 0);
+  // Past the size gate but failing the density rule: in a full resistor
+  // mesh every node couples to every other, far denser than
+  // kSparseMaxDensity. The pattern is built for the decision, then the
+  // dense backend is kept.
+  const Decision mesh = run_network([](ckt::Circuit& c, const std::vector<int>& n) {
+    for (std::size_t i = 0; i < n.size(); ++i)
+      for (std::size_t j = i + 1; j < n.size(); ++j) c.add<ckt::Resistor>(n[i], n[j], 1e3);
+  });
+  EXPECT_TRUE(mesh.pattern_ready);
+  EXPECT_GT(mesh.density, ckt::kSparseMaxDensity);
+  EXPECT_EQ(mesh.use_sparse, 0);
+  EXPECT_EQ(mesh.refactors, 0);
 
-  // Relaxing the density bound flips the same circuit onto sparse.
-  opt.sparse_max_density = 1.0;
-  ckt::run_transient(c, opt, ws);
-  EXPECT_EQ(ws.sp_tr.use_sparse, 1);
-  EXPECT_GT(ws.sp_tr.lu.stats().refactors, 0);
+  // Sparse enough: the same nodes as an RC ladder are tridiagonal, so the
+  // sparse backend factors them.
+  const Decision ladder = run_network([](ckt::Circuit& c, const std::vector<int>& n) {
+    for (std::size_t k = 1; k < n.size(); ++k) c.add<ckt::Resistor>(n[k - 1], n[k], 1e3);
+  });
+  EXPECT_TRUE(ladder.pattern_ready);
+  EXPECT_EQ(ladder.use_sparse, 1);
+  EXPECT_LE(ladder.density, ckt::kSparseMaxDensity);
+  EXPECT_GT(ladder.refactors, 0);
 }
 
 TEST(LinearFastPath, DcOperatingPointOfLinearDivider) {

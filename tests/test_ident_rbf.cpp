@@ -212,7 +212,7 @@ TEST(RbfFit, RecoversStaticNonlinearity) {
   RbfFitOptions opt;
   opt.max_basis = 12;
   opt.sigma = 0.5;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(12);
   EXPECT_LE(m.num_basis(), 12u);
   double worst = 0.0;
   for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -226,7 +226,7 @@ TEST(RbfFit, ConstantDataGivesConstantModel) {
   std::vector<double> xs(50), ys(50, 3.25);
   for (std::size_t k = 0; k < xs.size(); ++k) xs[k] = static_cast<double>(k);
   RbfFitOptions opt;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(12);
   EXPECT_NEAR(m.eval(std::vector<double>{25.0}), 3.25, 1e-9);
 }
 
@@ -239,7 +239,7 @@ TEST(RbfFit, GradientMatchesFiniteDifference) {
   }
   RbfFitOptions opt;
   opt.max_basis = 15;
-  const RbfModel m = fit_rbf_ols(column(xs), ys, opt);
+  const RbfModel m = OlsPath(column(xs), ys, opt).model(15);
 
   for (double v : {-0.8, -0.3, 0.0, 0.4, 0.9}) {
     double grad = 0.0;
@@ -286,8 +286,25 @@ TEST(RbfFit, AutoSigmaNotWorseThanFixed) {
   }
   RbfFitOptions opt;
   opt.max_basis = 14;
-  const RbfModel fixed = fit_rbf_ols(column(xs), ys, opt);
-  const RbfModel autom = fit_rbf_auto(column(xs), ys, opt);
+  const la::Matrix x = column(xs);
+  const RbfModel fixed = OlsPath(x, ys, opt).model(14);
+
+  // Kernel width by one-step error on the last quarter, held out from a
+  // fit on the first three quarters; the winner is refit on every row.
+  const std::size_t n_train = xs.size() * 3 / 4;
+  const la::Matrix x_train = column(std::vector<double>(xs.begin(), xs.begin() + n_train));
+  const auto held_out_error = [&](const RbfModel& m) {
+    double err = 0.0;
+    for (std::size_t r = n_train; r < xs.size(); ++r) err += std::pow(m.eval(x.row(r)) - ys[r], 2);
+    return err;
+  };
+  const double sigmas[] = {0.7, 1.0, 1.5, 2.2, 3.2};
+  const int basis[] = {14};
+  RbfFitOptions tuned = opt;
+  tuned.sigma = fit_rbf_best(x_train, std::span(ys).first(n_train), opt, sigmas, basis,
+                             held_out_error)
+                    .sigma();
+  const RbfModel autom = OlsPath(x, ys, tuned).model(14);
 
   double err_fixed = 0.0, err_auto = 0.0;
   for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -315,7 +332,7 @@ TEST(RbfFit, DynamicNarxSystemFreeRun) {
   RbfFitOptions opt;
   opt.max_basis = 16;
   opt.sigma = 1.0;
-  const RbfModel m = fit_rbf_ols(ds.x, ds.y, opt);
+  const RbfModel m = OlsPath(ds.x, ds.y, opt).model(16);
 
   // Fresh validation sequence.
   std::vector<double> v2(400), i2(400, 0.0);
@@ -337,16 +354,16 @@ TEST(RbfFit, DynamicNarxSystemFreeRun) {
 TEST(RbfFit, InputValidation) {
   la::Matrix x(0, 1);
   std::vector<double> y;
-  EXPECT_THROW(fit_rbf_ols(x, y, RbfFitOptions{}), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x, y, RbfFitOptions{}).model(12), std::invalid_argument);
 
   la::Matrix x2(3, 1);
   std::vector<double> y2(2);
-  EXPECT_THROW(fit_rbf_ols(x2, y2, RbfFitOptions{}), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x2, y2, RbfFitOptions{}).model(12), std::invalid_argument);
 
   RbfFitOptions bad;
   bad.max_basis = 0;
   std::vector<double> y3(3);
-  EXPECT_THROW(fit_rbf_ols(x2, y3, bad), std::invalid_argument);
+  EXPECT_THROW(OlsPath(x2, y3, bad).model(12), std::invalid_argument);
 
   // Bad options are rejected up front, not turned into a constant model.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -354,22 +371,21 @@ TEST(RbfFit, InputValidation) {
   for (int mc : {0, -1, -400}) {
     RbfFitOptions o;
     o.max_candidates = mc;
-    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "max_candidates " << mc;
+    EXPECT_THROW(OlsPath(x2, y3, o).model(12), std::invalid_argument) << "max_candidates " << mc;
   }
   for (double s : {0.0, -1.5, nan, inf}) {
     RbfFitOptions o;
     o.sigma = s;
-    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "sigma " << s;
     EXPECT_THROW(OlsPath(x2, y3, o), std::invalid_argument) << "sigma " << s;
   }
   for (double r : {-1e-8, nan, inf}) {
     RbfFitOptions o;
     o.ridge = r;
-    EXPECT_THROW(fit_rbf_ols(x2, y3, o), std::invalid_argument) << "ridge " << r;
+    EXPECT_THROW(OlsPath(x2, y3, o).model(12), std::invalid_argument) << "ridge " << r;
   }
   RbfFitOptions zero_ridge;
   zero_ridge.ridge = 0.0;
-  EXPECT_NO_THROW(fit_rbf_ols(x2, y3, zero_ridge));
+  EXPECT_NO_THROW(OlsPath(x2, y3, zero_ridge).model(12));
 
   // fit_rbf_best checks both grids whole before its first path: a bad
   // entry anywhere throws without a model being scored.

@@ -10,6 +10,7 @@
 #include "core/receiver_estimator.hpp"
 #include "core/validation.hpp"
 #include "signal/sources.hpp"
+#include "test_model_hash.hpp"
 
 using namespace emc;
 
@@ -70,6 +71,17 @@ TEST_F(ReceiverModelTest, NonlinearRegionParametricStaysAccurate) {
     const auto rep = core::validate_waveform("par", rec.i, i_par, 0.02);
     EXPECT_LT(rep.rel_rms, 0.10) << "amp = " << amp;
   }
+}
+
+TEST_F(ReceiverModelTest, EstimatedModelIsBitIdenticalToPin) {
+  // MD4's linear ARX part and both clamp fits, pinned to the receiver
+  // estimator's clamp fit as a held-out sigma search over OLS paths: a
+  // change in any fitted number shows here.
+  Fnv1a f;
+  f.add(model_->lin);
+  f.add(model_->up);
+  f.add(model_->dn);
+  EXPECT_EQ(f.h, 0x67890ddd2f04fc4dull);
 }
 
 TEST_F(ReceiverModelTest, LinearSubmodelIsNearlyLossless) {

@@ -94,12 +94,11 @@ TEST(Deadline, DefaultUnarmedNeverExpires) {
 
 // -------------------------------------------------------------- FaultPlan
 
-robust::FaultCtx ctx_with(std::string_view key, double dt = 25e-12,
-                          double gmin = 1e-12, double dx = 0.5, int solver = 2) {
+robust::FaultCtx ctx_with(std::string_view key, double gmin = 1e-12, double dx = 0.5,
+                          int solver = 2) {
   robust::FaultCtx c;
   c.key = key;
   c.solver = solver;
-  c.dt = dt;
   c.gmin = gmin;
   c.dx_limit = dx;
   return c;
@@ -143,7 +142,6 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   spec.site = robust::FaultSite::kTransientStep;
   spec.remaining = 1;
   spec.spare_dense = true;
-  spec.spare_dt_below = 20e-12;
   spec.spare_gmin_at_least = 1e-9;
   spec.spare_dx_limit_below = 0.2;
   plan.arm(spec);
@@ -151,13 +149,11 @@ TEST(FaultPlan, SpareThresholdsHealStatelesslyWithoutConsumingBudget) {
   // Every spared probe leaves the budget untouched — healing must be a
   // stateless function of the attempt options, not of probe order.
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-12, 0.5, robust::kSolverDenseAsInt)));
+                         ctx_with("k", 1e-12, 0.5, robust::kSolverDenseAsInt)));
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 12.5e-12, 1e-12, 0.5)));  // dt below bar
+                         ctx_with("k", 1e-9, 0.5)));  // gmin at bar
   EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-9, 0.5)));  // gmin at bar
-  EXPECT_FALSE(plan.fire(robust::FaultSite::kTransientStep,
-                         ctx_with("k", 25e-12, 1e-12, 0.125)));  // damped past bar
+                         ctx_with("k", 1e-12, 0.125)));  // damped past bar
   EXPECT_EQ(plan.fired(), 0);
   // An unspared probe still fires.
   EXPECT_TRUE(plan.fire(robust::FaultSite::kTransientStep, ctx_with("k")));
@@ -194,24 +190,26 @@ TEST(RetryLadder, EscalationScheduleIsCumulative) {
   EXPECT_EQ(a0.solver, ckt::SolverKind::kSparse);
 
   const auto a1 = robust::escalate(base, 1);
-  EXPECT_EQ(a1.dt, base.dt * 0.5);
-  EXPECT_EQ(a1.solver, ckt::SolverKind::kSparse);
+  EXPECT_EQ(a1.dt, base.dt);
+  EXPECT_EQ(a1.solver, ckt::SolverKind::kDense);
+  EXPECT_EQ(a1.gmin, base.gmin);
 
   const auto a2 = robust::escalate(base, 2);
-  EXPECT_EQ(a2.dt, base.dt * 0.5);
   EXPECT_EQ(a2.solver, ckt::SolverKind::kDense);
+  EXPECT_GE(a2.gmin, 1e-9);
+  EXPECT_EQ(a2.max_newton, 200);
+  EXPECT_EQ(a2.dx_limit, base.dx_limit);
 
   const auto a3 = robust::escalate(base, 3);
   EXPECT_GE(a3.gmin, 1e-9);
-  EXPECT_EQ(a3.max_newton, 200);
+  EXPECT_EQ(a3.dx_limit, 0.125);
+  EXPECT_EQ(a3.max_newton, 400);
 
-  const auto a4 = robust::escalate(base, 4);
-  EXPECT_EQ(a4.dx_limit, 0.125);
-  EXPECT_EQ(a4.max_newton, 400);
-
+  EXPECT_EQ(robust::kMaxLadderStages, 4);
   EXPECT_STREQ(robust::retry_stage_name(0), "base");
-  EXPECT_STREQ(robust::retry_stage_name(2), "dense");
-  EXPECT_STREQ(robust::retry_stage_name(4), "damp");
+  EXPECT_STREQ(robust::retry_stage_name(1), "dense");
+  EXPECT_STREQ(robust::retry_stage_name(2), "gmin");
+  EXPECT_STREQ(robust::retry_stage_name(3), "damp");
 }
 
 robust::SolveError make_err(const char* detail) {
@@ -233,19 +231,19 @@ TEST(RetryLadder, FirstTrySuccessRunsOnce) {
 }
 
 TEST(RetryLadder, RecoversAtTheStageThatClearsTheFault) {
-  // Fails until the ladder forces the dense backend (stage 2).
+  // Fails until the ladder forces the dense backend (stage 1).
   int calls = 0;
   const auto out = robust::run_with_escalation(
       {}, {}, [&](const ckt::TransientOptions& opt) {
         ++calls;
         if (opt.solver != ckt::SolverKind::kDense) throw make_err("not dense yet");
       });
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(out.attempts, 3);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(out.attempts, 2);
   EXPECT_TRUE(out.recovered);
-  ASSERT_EQ(out.failures.size(), 2u);
+  ASSERT_EQ(out.failures.size(), 1u);
   EXPECT_EQ(out.failures[0].stage, "base");
-  EXPECT_EQ(out.failures[1].stage, "dt/2");
+  EXPECT_EQ(out.failures[0].attempt, 0);
 }
 
 TEST(RetryLadder, ExhaustionRethrowsWithAttemptsAndLadderHistory) {
@@ -257,31 +255,37 @@ TEST(RetryLadder, ExhaustionRethrowsWithAttemptsAndLadderHistory) {
     });
     FAIL() << "ladder must rethrow after exhaustion";
   } catch (const robust::SolveError& e) {
-    EXPECT_EQ(calls, robust::kMaxLadderStages);
-    EXPECT_EQ(e.info().attempts, robust::kMaxLadderStages);
+    EXPECT_EQ(calls, 4);
+    EXPECT_EQ(e.info().attempts, 4);
     const std::string msg = e.what();
     EXPECT_NE(msg.find("ladder exhausted"), std::string::npos);
     EXPECT_NE(msg.find("[damp]"), std::string::npos);
   }
 }
 
-TEST(RetryLadder, PinnedDtStillEscalatesEverythingElse) {
-  // refine_dt=false: pipelines whose step is locked (emission transients
-  // run at the model's Ts) keep base.dt on every rung while the dense /
-  // gmin / damp escalations still apply.
-  robust::RetryPolicy pinned;
-  pinned.refine_dt = false;
+TEST(RetryLadder, NoTwoAttemptsRunTheSameOptions) {
+  // Every rung must change the numerics; a rung that repeats an earlier
+  // one spends a whole transient learning nothing. dt is pinned: the
+  // emission transient runs at the macromodel's Ts.
   ckt::TransientOptions base;
   base.dt = 25e-12;
-  std::vector<double> dts;
-  const auto out = robust::run_with_escalation(
-      pinned, base, [&](const ckt::TransientOptions& opt) {
-        dts.push_back(opt.dt);
-        if (opt.dx_limit >= 0.2) throw make_err("needs damping");
-      });
-  EXPECT_EQ(out.attempts, 5);
-  EXPECT_TRUE(out.recovered);
-  for (double dt : dts) EXPECT_EQ(dt, base.dt);
+  std::vector<ckt::TransientOptions> seen;
+  EXPECT_THROW(robust::run_with_escalation({}, base,
+                                           [&](const ckt::TransientOptions& opt) {
+                                             seen.push_back(opt);
+                                             throw make_err("always");
+                                           }),
+               robust::SolveError);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(robust::kMaxLadderStages));
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].dt, base.dt) << "attempt " << i;
+    for (std::size_t j = i + 1; j < seen.size(); ++j) {
+      const bool differ = seen[i].solver != seen[j].solver || seen[i].gmin != seen[j].gmin ||
+                          seen[i].max_newton != seen[j].max_newton ||
+                          seen[i].dx_limit != seen[j].dx_limit;
+      EXPECT_TRUE(differ) << "attempts " << i << " and " << j << " run the same options";
+    }
+  }
 }
 
 TEST(RetryLadder, DisabledPolicyIsSingleAttemptPassThrough) {

@@ -407,12 +407,10 @@ TEST(SweepSummary, RecordMemoryPeaksAggregateOverAllCorners) {
     // Corner 1 is uncovered but ran the biggest transient: its footprint
     // must still win the peak.
     results[i].report = report_with_margin(1.0, /*covered=*/i != 1);
-    results[i].streamed_record_bytes = 100 * (i + 1);
-    results[i].monolithic_record_bytes = i == 1 ? 999999 : 5000;
+    results[i].streamed_record_bytes = i == 1 ? 999999 : 100 * (i + 1);
   }
   const auto s = summarize(grid, results);
-  EXPECT_EQ(s.peak_streamed_record_bytes, 300u);
-  EXPECT_EQ(s.peak_monolithic_record_bytes, 999999u);
+  EXPECT_EQ(s.peak_streamed_record_bytes, 999999u);
 }
 
 // --------------------------------------------------- SweepRunner contract
@@ -482,8 +480,7 @@ TEST(SweepRunner, MemoryAccountingRidesCornerResultAndIsSchedulingIndependent) {
   // guarantees: every scheduling must report identical bytes.
   const CornerFn fn = [](const Scenario& sc, Workspace&) {
     return CornerResult{.report = report_with_margin(1.0),
-                        .streamed_record_bytes = 10 + sc.index,
-                        .monolithic_record_bytes = 1000 + 10 * sc.index};
+                        .streamed_record_bytes = 10 + sc.index};
   };
 
   SweepRunner serial(1);
@@ -492,11 +489,9 @@ TEST(SweepRunner, MemoryAccountingRidesCornerResultAndIsSchedulingIndependent) {
   const auto b = parallel.run(grid, fn, {}, /*chunk=*/3);
   EXPECT_TRUE(a.summary == b.summary);
   EXPECT_EQ(a.summary.peak_streamed_record_bytes, 17u);
-  EXPECT_EQ(a.summary.peak_monolithic_record_bytes, 1070u);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(a.results[i].streamed_record_bytes, 10 + i);
     EXPECT_EQ(b.results[i].streamed_record_bytes, 10 + i);
-    EXPECT_EQ(a.results[i].monolithic_record_bytes, 1000 + 10 * i);
   }
 }
 
@@ -722,7 +717,6 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   r.report = report_with_margin(-1.0 / 3.0);  // not representable in %.9g
   r.report.skipped_scan_points = 2;
   r.streamed_record_bytes = 4096;
-  r.monolithic_record_bytes = 123456;
   r.solve.total_newton_iters = 321;
   r.solve.used_sparse = 1;
   r.solve_attempts = 2;
@@ -739,7 +733,6 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   // the journaled record (it is scheduling history, not corner data).
   EXPECT_FALSE(back.from_checkpoint);
   EXPECT_EQ(back.streamed_record_bytes, 4096u);
-  EXPECT_EQ(back.monolithic_record_bytes, 123456u);
   EXPECT_EQ(back.solve.total_newton_iters, 321);
   EXPECT_EQ(back.solve.used_sparse, 1);
   // Bit-exact doubles: the whole point of the %.17g spelling.
@@ -755,12 +748,12 @@ TEST(SweepJournal, CornerEntryRoundTripsBitForBit) {
   f.solver_failed = true;
   f.failure = "solve failed [kind=dc_divergence ...]";
   f.failure_kind = "dc_divergence";
-  f.solve_attempts = 5;
+  f.solve_attempts = 4;
   const CornerResult fb = corner_from_journal(corner_journal_json(f), grid);
   EXPECT_TRUE(fb.solver_failed);
   EXPECT_EQ(fb.failure, f.failure);
   EXPECT_EQ(fb.failure_kind, "dc_divergence");
-  EXPECT_EQ(fb.solve_attempts, 5);
+  EXPECT_EQ(fb.solve_attempts, 4);
 }
 
 TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
@@ -794,7 +787,6 @@ TEST(SweepJournal, MalformedCornerEntriesAreRejected) {
       {"negative worst_index", true, "worst_index", num(-1)},
       {"negative skipped", true, "skipped", num(-3)},
       {"negative streamed_bytes", false, "streamed_bytes", num(-1)},
-      {"negative monolithic_bytes", false, "monolithic_bytes", num(-8)},
       {"negative scan_passes", false, "scan_passes", num(-1)},
       {"negative scan_refined", false, "scan_refined", num(-2)},
       {"negative scan_crossings", false, "scan_crossings", num(-5)},
