@@ -1,27 +1,16 @@
-// Bench + gate of the adaptive mask-driven receiver scan and the
-// scenario-axis refinement stage.
+// Bench + gate of the adaptive mask-driven receiver scan: scan a busy
+// multi-harmonic record with the adaptive planner and against a dense
+// (16x coarse) fixed reference. Gates: the adaptive worst margin is within
+// 0.02 dB of the dense reference, every mask crossing is certified by a
+// measured (pass, fail) bracket within the frequency tolerance, and the
+// adaptive scan spends at most 40% of the dense reference's detector
+// passes (>= 2.5x scan-phase work reduction by construction).
 //
-// Phase A (certified scan): scan a busy multi-harmonic record with the
-// adaptive planner and against a dense (16x coarse) fixed reference.
-// Gates: the adaptive worst margin is within 0.02 dB of the dense
-// reference, every mask crossing is certified by a measured (pass, fail)
-// bracket within the frequency tolerance, and the adaptive scan spends at
-// most 40% of the dense reference's detector passes (>= 2.5x scan-phase
-// work reduction by construction).
-//
-// Phase B (adaptive sweep + refinement): run the full emission corner
-// sweep under ScanPlan::kAdaptive with a mask calibrated to put a
-// pass/fail boundary inside the line-length axis. Gates: the sweep and
-// its refinement stage are bit-identical across worker counts, the
-// refinement outcome equals a from-scratch sweep of the refined grid
-// (same pass/fail boundary corners).
-//
-//   bench_adaptive [--jobs N] [--smoke]
+//   bench_adaptive [--smoke]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numbers>
@@ -32,11 +21,9 @@
 #include "emc/adaptive.hpp"
 #include "emc/limits.hpp"
 #include "emc/receiver.hpp"
-#include "experiments.hpp"
 #include "json_out.hpp"
 #include "signal/sources.hpp"
 #include "signal/waveform.hpp"
-#include "sweep/sweep_runner.hpp"
 
 namespace {
 
@@ -76,28 +63,22 @@ double margin_at(const spec::CertifiedScan& cs, const spec::LimitMask& mask,
 int main(int argc, char** argv) {
   const auto bargs = bench::extract_baseline_args(argc, argv);
   bool smoke = false;
-  std::size_t jobs = 8;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
-      std::fprintf(stderr, "usage: bench_adaptive [--jobs N] [--smoke]\n");
+      std::fprintf(stderr, "usage: bench_adaptive [--smoke]\n");
       return 2;
     }
   }
-  if (jobs == 0) jobs = sweep::ThreadPool::default_workers();
 
-  std::printf("=== bench_adaptive: certified adaptive scan + sweep refinement ===%s\n",
+  std::printf("=== bench_adaptive: certified adaptive scan ===%s\n",
               smoke ? "  [smoke mode]" : "");
   auto doc = bench::make_bench_doc("bench_adaptive");
   doc.set("smoke", bench::Json::boolean(smoke));
-  doc.set("jobs", bench::Json::integer(static_cast<long>(jobs)));
   doc.set("hardware_concurrency",
           bench::Json::integer(static_cast<long>(std::thread::hardware_concurrency())));
 
-  // ------------------------------------------------ phase A: certified scan
   const auto w = busy_record(smoke ? 4096 : 8192, 64e6);
   spec::ReceiverSettings rx;
   rx.name = "adaptive-vs-dense";
@@ -199,141 +180,13 @@ int main(int argc, char** argv) {
   scan_doc.set("wall_speedup", bench::Json::number(scan_speedup));
   doc.set("scan", scan_doc);
 
-  // --------------------------------- phase B: adaptive sweep + refinement
-  std::printf("estimating MD3 PW-RBF macromodel...\n");
-  const auto t_est = std::chrono::steady_clock::now();
-  const auto model = exp::make_driver_model(dev::DriverTech::md3_ibm25(), "MD3");
-  doc.at("scenarios").push(bench::scenario_row("estimate_model", seconds_since(t_est)));
-
-  sweep::CornerAxes axes;
-  if (smoke) {
-    axes.vdd_scale = {0.95, 1.05};
-    axes.pattern_seed = {1};
-  } else {
-    axes.vdd_scale = {0.90, 0.95, 1.00, 1.05};
-    axes.pattern_seed = {1, 2};
-  }
-  axes.line_length = {0.05, 0.1};
-  axes.load_c = {1e-12, 2e-12};
-  axes.pattern_bits = 15;
-  const sweep::CornerGrid grid(axes);
-
-  sweep::EmissionSweepConfig cfg;
-  cfg.model = &model;
-  cfg.line = exp::mcm_fig3_params();
-  cfg.bit_time = 1e-9;
-  cfg.periods = 3;
-  cfg.rx.name = "wideband scan";
-  cfg.rx.f_start = 50e6;
-  cfg.rx.f_stop = 5e9;
-  cfg.rx.n_points = 40;
-  cfg.rx.tau_charge = 1e-9;
-  cfg.rx.tau_discharge = 30e-9;
-  cfg.mask = {"calibration", {{50e6, 140.0}, {5e9, 140.0}}};
-
-  // Calibrate a flat mask that splits the two line lengths across the
-  // pass/fail boundary. The calibration must run under the SAME scan plan
-  // as the gated sweeps — the adaptive planner's coarse pass resolves the
-  // spiky emission spectrum differently than the fixed 40-point grid — so:
-  // one fixed-plan sweep for the detector-pass comparison, one adaptive
-  // sweep against a flat 140 dBuV limit for the margins, then the final
-  // limit at the midpoint of the two lengths' worst margins. Deterministic
-  // — a pure function of the pipeline.
-  const std::size_t chunk = sweep::emission_chunk_hint(grid);
-  sweep::SweepRunner serial(1);
-  const auto t_fix = std::chrono::steady_clock::now();
-  const auto fixed = serial.run(grid, sweep::make_emission_corner_fn(cfg), {}, chunk);
-  doc.at("scenarios").push(bench::scenario_row("fixed_plan_sweep",
-                                               seconds_since(t_fix)));
-  cfg.scan_plan = spec::ScanPlan::kAdaptive;
-  cfg.adaptive.coarse_points = 16;
-  cfg.adaptive.freq_tol_rel = 1e-3;
-  const auto t_cal = std::chrono::steady_clock::now();
-  const auto cal = serial.run(grid, sweep::make_emission_corner_fn(cfg), {}, chunk);
-  doc.at("scenarios").push(bench::scenario_row("calibration_adaptive_sweep",
-                                               seconds_since(t_cal)));
-  const auto& len_worst =
-      cal.summary.axis_worst[static_cast<std::size_t>(sweep::AxisId::kLineLength)];
-  const double limit = 140.0 - 0.5 * (len_worst[0] + len_worst[1]);
-  cfg.mask = {"calibrated flat", {{50e6, limit}, {5e9, limit}}};
-  const auto corner_fn = sweep::make_emission_corner_fn(cfg);
-  std::printf("calibrated flat limit: %.1f dBuV (length-axis worst %+.1f / %+.1f dB)\n",
-              limit, len_worst[0], len_worst[1]);
-
-  // Adaptive sweep, 1 thread vs --jobs threads: bit-identical summaries.
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto out1 = serial.run(grid, corner_fn, {}, chunk);
-  const double wall_1 = seconds_since(t1);
-  doc.at("scenarios").push(bench::scenario_row("adaptive_sweep_1_thread", wall_1));
-
-  sweep::SweepRunner parallel(jobs);
-  const auto tn = std::chrono::steady_clock::now();
-  const auto outn = parallel.run(grid, corner_fn, {}, chunk);
-  doc.at("scenarios").push(bench::scenario_row(
-      "adaptive_sweep_" + std::to_string(jobs) + "_threads", seconds_since(tn)));
-  const bool sweep_identical = out1.summary == outn.summary;
-
-  // Refinement stage, 1 thread vs --jobs threads.
-  const auto t_r1 = std::chrono::steady_clock::now();
-  const auto ref1 = serial.refine(grid, out1, corner_fn);
-  doc.at("scenarios").push(bench::scenario_row("refine_1_thread", seconds_since(t_r1)));
-  const auto t_rn = std::chrono::steady_clock::now();
-  const auto refn = parallel.refine(grid, outn, corner_fn);
-  doc.at("scenarios").push(bench::scenario_row(
-      "refine_" + std::to_string(jobs) + "_threads", seconds_since(t_rn)));
-  const bool refine_identical =
-      ref1.plan == refn.plan && ref1.outcome.summary == refn.outcome.summary;
-
-  // From-scratch sweep of the refined grid: the refinement stage must land
-  // on the same pass/fail boundary corners (equal summaries — carried
-  // corners are pure functions of the scenario).
-  const sweep::CornerGrid refined(sweep::apply_refinement(grid.axes(), ref1.plan));
-  const auto t_scr = std::chrono::steady_clock::now();
-  const auto scratch =
-      parallel.run(refined, corner_fn, {}, sweep::emission_chunk_hint(refined));
-  doc.at("scenarios").push(bench::scenario_row("refined_grid_from_scratch",
-                                               seconds_since(t_scr)));
-  const bool refine_matches_scratch = ref1.outcome.summary == scratch.summary;
-
-  std::printf("adaptive sweep: %zu corners, %zu detector passes (%zu refined), %zu crossings\n",
-              outn.summary.corners, outn.summary.scan_detector_passes,
-              outn.summary.scan_refined_points, outn.summary.scan_crossings);
-  std::printf("fixed-plan sweep spent %zu passes -> adaptive spends %.1f%%\n",
-              fixed.summary.scan_detector_passes,
-              fixed.summary.scan_detector_passes > 0
-                  ? 100.0 * static_cast<double>(outn.summary.scan_detector_passes) /
-                        static_cast<double>(fixed.summary.scan_detector_passes)
-                  : 0.0);
-  std::printf("refinement: plan %zu insertions, %zu reused + %zu evaluated corners\n",
-              ref1.plan.size(), ref1.reused, ref1.evaluated);
-  std::printf("sweep bit-identical: %s   refine bit-identical: %s\n",
-              sweep_identical ? "yes" : "NO", refine_identical ? "yes" : "NO");
-  std::printf("refine == from-scratch refined grid: %s\n",
-              refine_matches_scratch ? "yes" : "NO");
-
-  // The calibrated mask guarantees a pass/fail flip on the length axis, so
-  // an empty plan means the planner lost the boundary.
-  const bool found_boundary = !ref1.plan.empty();
-
-  doc.set("sweep_bit_identical", bench::Json::boolean(sweep_identical));
-  doc.set("refinement_found_boundary", bench::Json::boolean(found_boundary));
-  doc.set("refine_bit_identical", bench::Json::boolean(refine_identical));
-  doc.set("refine_matches_scratch", bench::Json::boolean(refine_matches_scratch));
   doc.set("margin_agrees", bench::Json::boolean(margin_agrees));
   doc.set("crossings_certified", bench::Json::boolean(crossings_certified));
   doc.set("scan_ratio_ok", bench::Json::boolean(scan_ratio_ok));
-  auto refine_doc = bench::Json::object();
-  refine_doc.set("plan_insertions", bench::Json::integer(static_cast<long>(ref1.plan.size())));
-  refine_doc.set("reused", bench::Json::integer(static_cast<long>(ref1.reused)));
-  refine_doc.set("evaluated", bench::Json::integer(static_cast<long>(ref1.evaluated)));
-  doc.set("refine", refine_doc);
-  doc.set("summary", sweep::summary_json(refined, ref1.outcome.summary));
 
   if (doc.write_file("BENCH_adaptive.json")) std::printf("wrote BENCH_adaptive.json\n");
   const bool base_ok = bench::check_baseline_gate(doc, bargs);
 
-  const bool ok = margin_agrees && crossings_certified && scan_ratio_ok &&
-                  sweep_identical && refine_identical && refine_matches_scratch &&
-                  found_boundary && base_ok;
+  const bool ok = margin_agrees && crossings_certified && scan_ratio_ok && base_ok;
   return ok ? 0 : 1;
 }

@@ -18,8 +18,7 @@
 // estimate between them.
 //
 // The result flows into the ordinary ComplianceReport machinery (so
-// merge_reports, sweep summaries and skipped_points accounting all apply
-// unchanged), and the merged EmiScan carries the per-scan
+// merge_reports and skipped_points accounting apply unchanged), and the merged EmiScan carries the per-scan
 // zoom/reference/refined point counts.
 #pragma once
 
@@ -38,12 +37,6 @@ enum class TraceSel {
   kPeak,
   kQuasiPeak,
   kAverage,
-};
-
-/// How a sweep corner lays out its receiver scan.
-enum class ScanPlan {
-  kFixed,     ///< the classic fixed log grid of n_points detector passes
-  kAdaptive,  ///< coarse pass + certified refinement (AdaptiveScanner)
 };
 
 struct AdaptiveScanConfig {

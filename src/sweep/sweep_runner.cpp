@@ -64,48 +64,20 @@ int build_emission_circuit(const EmissionSweepConfig& cfg, const Scenario& sc,
   return b1;
 }
 
-spec::TraceSel detector_trace(Detector d) {
-  switch (d) {
-    case Detector::kPeak: return spec::TraceSel::kPeak;
-    case Detector::kQuasiPeak: return spec::TraceSel::kQuasiPeak;
-    default: return spec::TraceSel::kAverage;
-  }
-}
-
 /// Receiver scan + supply scaling + mask check of the worker's memo
 /// record: the post-transient tail of the corner pipeline, pure in
-/// (record, scenario). `counts` receives the corner's scan accounting
-/// (detector passes scored, adaptive refined points, certified crossings).
+/// (record, scenario).
 ///
 /// First-order supply corner: emission levels scale ~linearly with VDD.
-/// The fixed plan scans the unscaled record once per receiver setting
+/// The receiver scans the unscaled record once per receiver setting
 /// (the Workspace scan slot) and multiplies each corner's readings by
 /// vdd_scale in volts before the dBuV conversion, so the -120 dBuV floor
 /// applies after scaling, as in a scan of the scaled record. By
 /// homogeneity (EmiScanner::readings) the two agree up to rounding.
 spec::ComplianceReport post_process_corner(const EmissionSweepConfig& cfg,
-                                           const Scenario& sc, Workspace& ws,
-                                           ScanCounts& counts) {
+                                           const Scenario& sc, Workspace& ws) {
   spec::ReceiverSettings rx = cfg.rx;
   rx.rbw = sc.rbw;
-  counts = ScanCounts{};
-
-  if (cfg.scan_plan == spec::ScanPlan::kAdaptive) {
-    // Coarse pass + certified refinement: where it refines depends on
-    // where the *scaled* trace crosses the mask, so it scans the scaled
-    // record. The crossing brackets are already folded into the merged
-    // scan, so the report flows through the same check_compliance
-    // machinery as the fixed plan.
-    sig::Waveform record = ws.memo_record;
-    record *= sc.vdd_scale;
-    const spec::CertifiedScan cs =
-        spec::adaptive_scan(ws.scanner, record, rx, cfg.mask, detector_trace(sc.detector),
-                            cfg.adaptive, sc.label());
-    counts.refined_points = cs.refined_points;
-    counts.detector_passes = cs.detector_passes;
-    counts.crossings = cs.crossings.size();
-    return cs.report;
-  }
 
   if (ws.scan_rx != rx) {
     ws.scan = ws.scanner.scan(ws.memo_record, rx);
@@ -120,7 +92,6 @@ spec::ComplianceReport post_process_corner(const EmissionSweepConfig& cfg,
   std::vector<double> level(ws.scan_volts.size());
   for (std::size_t p = 0; p < level.size(); ++p)
     level[p] = spec::EmiScanner::envelope_dbuv(sc.vdd_scale * (ws.scan_volts[p].*reading));
-  counts.detector_passes = level.size();
 
   obs::Span span("mask");
   // A scan truncated at the record's Nyquist rate must not silently
@@ -191,9 +162,7 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
     }
     if (r.recovered) ++s.recovered;
     if (rep.skipped_scan_points > 0) ++s.truncated;
-    s.scan_detector_passes += r.scan.detector_passes;
-    s.scan_refined_points += r.scan.refined_points;
-    s.scan_crossings += r.scan.crossings;
+    s.scan_detector_passes += r.scan_passes;
     // Memory footprints count for every corner that ran, covered or not.
     s.peak_streamed_record_bytes =
         std::max(s.peak_streamed_record_bytes, r.streamed_record_bytes);
@@ -242,6 +211,7 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
   static const obs::Counter c_sweeps("sweep.runs");
   static const obs::Counter c_corners("sweep.corners");
   static const obs::Counter c_resumed("sweep.corners_resumed");
+  static const obs::Counter c_isolated("sweep.corners_isolated");
   obs::Span span("sweep");
   c_sweeps.add();
 
@@ -284,29 +254,8 @@ SweepOutcome SweepRunner::run(const CornerGrid& grid, const CornerFn& fn,
   if (opt.progress)
     for (std::size_t k = 1; k <= done; ++k) opt.progress(k, n);
 
-  done = evaluate(grid, todo, shard.begin, out.results, fn, opt, journal.get(), done, n);
-  if (done < n)
-    throw SweepAborted("sweep aborted: " + std::to_string(done) + " of " +
-                       std::to_string(n) + " corners finished" +
-                       (journal ? " (journaled for resume)" : ""));
-
-  c_corners.add(n);
-  out.workers = pool_.worker_stats();
-  out.summary = shard.whole_grid(grid.size())
-                    ? summarize(grid, out.results, opt.histogram)
-                    : summarize_shard(grid, out.results, opt.histogram);
-  return out;
-}
-
-std::size_t SweepRunner::evaluate(const CornerGrid& grid, std::span<const std::size_t> todo,
-                                  std::size_t base, std::span<CornerResult> results,
-                                  const CornerFn& fn, const RunOptions& opt,
-                                  robust::JournalWriter* journal, std::size_t done,
-                                  std::size_t total) {
-  static const obs::Counter c_isolated("sweep.corners_isolated");
   pool_.reset_worker_stats();
   std::atomic<std::size_t> finished{done};
-
   pool_.parallel_for(
       todo.size(),
       [&](std::size_t k, std::size_t worker) {
@@ -315,7 +264,7 @@ std::size_t SweepRunner::evaluate(const CornerGrid& grid, std::span<const std::s
         const auto t0 = std::chrono::steady_clock::now();
         const std::size_t index = todo[k];
         Scenario sc = grid.at(index);
-        CornerResult& slot = results[index - base];
+        CornerResult& slot = out.results[index - shard.begin];
         try {
           slot = fn(sc, workspaces_[worker]);
         } catch (const robust::SolveError& e) {
@@ -335,10 +284,21 @@ std::size_t SweepRunner::evaluate(const CornerGrid& grid, std::span<const std::s
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         if (journal) journal->append(corner_journal_json(slot));
         const std::size_t d = finished.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (opt.progress) opt.progress(d, total);
+        if (opt.progress) opt.progress(d, n);
       },
       opt.chunk);
-  return finished.load(std::memory_order_relaxed);
+  done = finished.load(std::memory_order_relaxed);
+  if (done < n)
+    throw SweepAborted("sweep aborted: " + std::to_string(done) + " of " +
+                       std::to_string(n) + " corners finished" +
+                       (journal ? " (journaled for resume)" : ""));
+
+  c_corners.add(n);
+  out.workers = pool_.worker_stats();
+  out.summary = shard.whole_grid(grid.size())
+                    ? summarize(grid, out.results, opt.histogram)
+                    : summarize_shard(grid, out.results, opt.histogram);
+  return out;
 }
 
 namespace {
@@ -406,9 +366,7 @@ obs::Json corner_journal_json(const CornerResult& r) {
   o.set("attempts", obs::Json::integer(r.solve_attempts));
   o.set("recovered", obs::Json::boolean(r.recovered));
   o.set("reused", obs::Json::boolean(r.transient_reused));
-  o.set("scan_passes", obs::Json::integer(static_cast<long>(r.scan.detector_passes)));
-  o.set("scan_refined", obs::Json::integer(static_cast<long>(r.scan.refined_points)));
-  o.set("scan_crossings", obs::Json::integer(static_cast<long>(r.scan.crossings)));
+  o.set("scan_passes", obs::Json::integer(static_cast<long>(r.scan_passes)));
   o.set("streamed_bytes",
         obs::Json::integer(static_cast<long>(r.streamed_record_bytes)));
   o.set("solve", solve_stats_exact_json(r.solve));
@@ -456,9 +414,7 @@ CornerResult restore_corner(const obs::Json& entry, const CornerGrid& grid) {
   r.solve_attempts = static_cast<int>(entry.at("attempts").as_integer());
   r.recovered = entry.at("recovered").as_bool();
   r.transient_reused = entry.at("reused").as_bool();
-  r.scan.detector_passes = journal_count(entry.at("scan_passes"), "scan_passes");
-  r.scan.refined_points = journal_count(entry.at("scan_refined"), "scan_refined");
-  r.scan.crossings = journal_count(entry.at("scan_crossings"), "scan_crossings");
+  r.scan_passes = journal_count(entry.at("scan_passes"), "scan_passes");
   r.streamed_record_bytes = journal_count(entry.at("streamed_bytes"), "streamed_bytes");
   r.solve = solve_stats_from_json(entry.at("solve"));
 
@@ -520,8 +476,7 @@ obs::Json corner_result_json(const CornerResult& r) {
   if (!r.report.points.empty())
     o.set("worst_margin_db", obs::Json::number(r.report.worst_margin_db));
   o.set("skipped", obs::Json::integer(static_cast<long>(r.report.skipped_scan_points)));
-  o.set("scan_passes", obs::Json::integer(static_cast<long>(r.scan.detector_passes)));
-  o.set("scan_refined", obs::Json::integer(static_cast<long>(r.scan.refined_points)));
+  o.set("scan_passes", obs::Json::integer(static_cast<long>(r.scan_passes)));
   o.set("streamed_bytes",
         obs::Json::integer(static_cast<long>(r.streamed_record_bytes)));
   return o;
@@ -591,188 +546,10 @@ CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg) {
 
     CornerResult r = ws.memo;
     r.transient_reused = hit;
-    r.report = post_process_corner(cfg, sc, ws, r.scan);
+    r.report = post_process_corner(cfg, sc, ws);
+    r.scan_passes = ws.scan_volts.size();
     return r;
   };
-}
-
-namespace {
-
-/// The axes refinement can subdivide: positive numeric quantities whose
-/// values live in a CornerAxes vector of doubles. Pattern seed and
-/// detector are categorical — there is nothing "between" two seeds.
-const std::vector<double>* numeric_axis_values(const CornerAxes& axes, AxisId a) {
-  switch (a) {
-    case AxisId::kLineLength: return &axes.line_length;
-    case AxisId::kLoadC: return &axes.load_c;
-    case AxisId::kRbw: return &axes.rbw;
-    case AxisId::kVddScale: return &axes.vdd_scale;
-    default: return nullptr;
-  }
-}
-
-std::vector<double>* numeric_axis_values(CornerAxes& axes, AxisId a) {
-  return const_cast<std::vector<double>*>(
-      numeric_axis_values(static_cast<const CornerAxes&>(axes), a));
-}
-
-/// new-coordinate -> old-coordinate map of one refined axis; SIZE_MAX
-/// marks inserted values. Original values survive apply_refinement
-/// verbatim, so exact double equality identifies them.
-std::vector<std::size_t> old_coord_map(const std::vector<double>& old_vals,
-                                       const std::vector<double>& new_vals) {
-  std::vector<std::size_t> map(new_vals.size(), SIZE_MAX);
-  std::size_t o = 0;
-  for (std::size_t k = 0; k < new_vals.size(); ++k)
-    if (o < old_vals.size() && new_vals[k] == old_vals[o]) {
-      map[k] = o;
-      ++o;
-    }
-  if (o != old_vals.size())
-    throw std::invalid_argument("refine: refined axis does not extend the prior axis");
-  return map;
-}
-
-/// Grid index from per-axis coordinates (inverse of CornerGrid::at's
-/// mixed-radix decode: axis 0 is the slowest-varying digit).
-std::size_t encode_index(const CornerGrid& grid, const std::size_t coord[kNumAxes]) {
-  std::size_t idx = 0;
-  for (std::size_t a = 0; a < kNumAxes; ++a)
-    idx = idx * grid.axis_size(static_cast<AxisId>(a)) + coord[a];
-  return idx;
-}
-
-/// Carry-over stage of refinement: compute the plan, build the refined grid, copy every prior corner's result into
-/// its slot on the refined grid (result bits untouched; only the decoded
-/// Scenario is re-derived) and return the indices still needing
-/// evaluation, ascending.
-std::vector<std::size_t> carry_over_refinement(const CornerGrid& grid,
-                                               const SweepOutcome& prior,
-                                               RefineOutcome& out) {
-  if (prior.results.size() != grid.size())
-    throw std::invalid_argument("refine: prior outcome must cover the whole grid");
-
-  out.plan = plan_axis_refinement(grid, prior.summary);
-  out.grid = CornerGrid(apply_refinement(grid.axes(), out.plan));
-  out.outcome = SweepOutcome{};
-  out.outcome.results.resize(out.grid.size());
-  out.reused = 0;
-  out.evaluated = 0;
-
-  std::vector<std::vector<std::size_t>> maps(kNumAxes);
-  for (std::size_t a = 0; a < kNumAxes; ++a) {
-    const auto axis = static_cast<AxisId>(a);
-    if (const std::vector<double>* nv = numeric_axis_values(out.grid.axes(), axis)) {
-      maps[a] = old_coord_map(*numeric_axis_values(grid.axes(), axis), *nv);
-    } else {
-      maps[a].resize(out.grid.axis_size(axis));  // categorical: identity
-      for (std::size_t k = 0; k < maps[a].size(); ++k) maps[a][k] = k;
-    }
-  }
-
-  std::vector<std::size_t> fresh;
-  for (std::size_t i = 0; i < out.grid.size(); ++i) {
-    const Scenario sc = out.grid.at(i);
-    std::size_t old_coord[kNumAxes];
-    bool carried = true;
-    for (std::size_t a = 0; a < kNumAxes && carried; ++a) {
-      old_coord[a] = maps[a][sc.coord[a]];
-      carried = old_coord[a] != SIZE_MAX;
-    }
-    if (carried) {
-      CornerResult& slot = out.outcome.results[i];
-      slot = prior.results[encode_index(grid, old_coord)];
-      slot.scenario = sc;
-      ++out.reused;
-    } else {
-      fresh.push_back(i);
-    }
-  }
-  out.evaluated = fresh.size();
-  return fresh;
-}
-
-}  // namespace
-
-std::vector<AxisInsertion> plan_axis_refinement(const CornerGrid& grid,
-                                                const SweepSummary& summary) {
-  if (summary.axis_worst.size() != kNumAxes)
-    throw std::invalid_argument("plan_axis_refinement: summary has no axis table");
-
-  std::vector<AxisInsertion> plan;
-  for (std::size_t a = 0; a < kNumAxes; ++a) {
-    const auto axis = static_cast<AxisId>(a);
-    const std::vector<double>* vals = numeric_axis_values(grid.axes(), axis);
-    if (!vals || vals->size() < 2) continue;
-    const std::vector<double>& worst = summary.axis_worst[a];
-    if (worst.size() != vals->size())
-      throw std::invalid_argument("plan_axis_refinement: summary/grid shape mismatch");
-    for (std::size_t k = 0; k + 1 < vals->size(); ++k) {
-      const double m0 = worst[k], m1 = worst[k + 1];
-      // Values no covered corner hit (+inf sentinel) never form a
-      // boundary: there is no verdict to flip.
-      if (!std::isfinite(m0) || !std::isfinite(m1)) continue;
-      if ((m0 >= 0.0) == (m1 >= 0.0)) continue;
-      const double v0 = (*vals)[k], v1 = (*vals)[k + 1];
-      const double mid =
-          v0 > 0.0 && v1 > 0.0 ? std::sqrt(v0 * v1) : 0.5 * (v0 + v1);
-      if (mid == v0 || mid == v1) continue;  // axis already at double resolution
-      plan.push_back(AxisInsertion{axis, k, mid});
-    }
-  }
-  return plan;
-}
-
-CornerAxes apply_refinement(const CornerAxes& axes,
-                            std::span<const AxisInsertion> plan) {
-  CornerAxes out = axes;
-  for (std::size_t a = 0; a < kNumAxes; ++a) {
-    const auto axis = static_cast<AxisId>(a);
-    std::vector<const AxisInsertion*> ins;
-    for (const AxisInsertion& x : plan)
-      if (x.axis == axis) ins.push_back(&x);
-    if (ins.empty()) continue;
-    std::vector<double>* vals = numeric_axis_values(out, axis);
-    if (!vals)
-      throw std::invalid_argument("apply_refinement: categorical axis in plan");
-    // Insert from the highest index down: plan indices refer to the
-    // original axis, so earlier insertions must not shift later ones.
-    std::sort(ins.begin(), ins.end(),
-              [](const AxisInsertion* p, const AxisInsertion* q) {
-                return p->after > q->after;
-              });
-    for (const AxisInsertion* x : ins) {
-      if (x->after + 1 > vals->size())
-        throw std::invalid_argument("apply_refinement: insertion outside axis");
-      vals->insert(vals->begin() + static_cast<std::ptrdiff_t>(x->after) + 1,
-                   x->value);
-    }
-  }
-  return out;
-}
-
-RefineOutcome SweepRunner::refine(const CornerGrid& grid, const SweepOutcome& prior,
-                                  const CornerFn& fn, const RunOptions& opt) {
-  static const obs::Counter c_refines("sweep.refine.runs");
-  static const obs::Counter c_reused("sweep.refine.corners_reused");
-  static const obs::Counter c_evaluated("sweep.refine.corners_evaluated");
-  obs::Span span("sweep_refine");
-
-  RefineOutcome out;
-  const std::vector<std::size_t> fresh = carry_over_refinement(grid, prior, out);
-  c_refines.add();
-  c_reused.add(out.reused);
-  c_evaluated.add(out.evaluated);
-
-  // Journaling and abort stay run()-only: a refinement stage is cheap to
-  // redo from its prior outcome.
-  RunOptions eval_opt = opt;
-  eval_opt.stop = nullptr;
-  evaluate(out.grid, fresh, 0, out.outcome.results, fn, eval_opt, nullptr, 0, fresh.size());
-
-  out.outcome.workers = pool_.worker_stats();
-  out.outcome.summary = summarize(out.grid, out.outcome.results, opt.histogram);
-  return out;
 }
 
 std::size_t emission_chunk_hint(const CornerGrid& grid) {
@@ -798,9 +575,6 @@ obs::Json summary_json(const CornerGrid& grid, const SweepSummary& s) {
   o.set("recovered", obs::Json::integer(static_cast<long>(s.recovered)));
   o.set("scan_detector_passes",
         obs::Json::integer(static_cast<long>(s.scan_detector_passes)));
-  o.set("scan_refined_points",
-        obs::Json::integer(static_cast<long>(s.scan_refined_points)));
-  o.set("scan_crossings", obs::Json::integer(static_cast<long>(s.scan_crossings)));
   o.set("worst_margin_db", margin_json(s.worst_margin_db));
   if (s.passed + s.failed > 0) {
     o.set("worst_corner", obs::Json::integer(static_cast<long>(s.worst_corner)));

@@ -23,7 +23,6 @@
 #include "circuit/engine.hpp"
 #include "circuit/tline.hpp"
 #include "core/driver_model.hpp"
-#include "emc/adaptive.hpp"
 #include "emc/limits.hpp"
 #include "emc/receiver.hpp"
 #include "obs/json.hpp"
@@ -36,23 +35,6 @@ class JournalWriter;
 }
 
 namespace emc::sweep {
-
-/// Receiver-scan accounting of one corner: how many detector passes its
-/// scan spent, how many of them were adaptive refinement, and how many
-/// mask crossings were certified. A pure function of the scenario (the
-/// scan depends on the full corner, not just the transient memo key), so
-/// it rides the summary without perturbing the determinism contract.
-/// Fixed-plan corners report their grid size as detector_passes with
-/// refined_points == 0: the points the corner was scored on, even when
-/// its readings came from a scan shared with other corners (the points
-/// actually demodulated are the spec.scan.* counters).
-struct ScanCounts {
-  std::size_t refined_points = 0;
-  std::size_t detector_passes = 0;
-  std::size_t crossings = 0;
-
-  bool operator==(const ScanCounts&) const = default;
-};
 
 /// Verdict of one corner. The corner function fills the report and the
 /// deterministic accounting (memory, solve stats, ladder, scan); the
@@ -90,10 +72,11 @@ struct CornerResult {
   int solve_attempts = 1;
   bool recovered = false;
 
-  /// Receiver-scan accounting (detector passes / refined points /
-  /// certified crossings). Deterministic per scenario; all zero for
-  /// solver casualties.
-  ScanCounts scan{};
+  /// Detector passes the corner was scored on: its scan grid size, even
+  /// when its readings came from a scan shared with other corners (the
+  /// points actually demodulated are the spec.scan.* counters).
+  /// Deterministic per scenario; zero for solver casualties.
+  std::size_t scan_passes = 0;
 
   /// Slot restored from a checkpoint journal instead of being evaluated
   /// (wall_s/worker are zero for such corners — they ran in a prior
@@ -119,8 +102,8 @@ struct CornerResult {
 /// recomputes instead of serving the first pipeline's record.
 ///
 /// scan_rx/scan/scan_volts are a single-entry scan slot over memo_record:
-/// the receiver settings of its last fixed-plan scan (empty after a memo
-/// miss), that scan and its detector readings in envelope volts
+/// the receiver settings of its last scan (empty after a memo miss), that
+/// scan and its detector readings in envelope volts
 /// (EmiScanner::readings). The emission pipeline scores every supply and
 /// detector corner of one receiver setting from it; AxisId orders kRbw
 /// before kVddScale and kDetector, so those corners are adjacent too.
@@ -167,12 +150,8 @@ struct SweepSummary {
   /// Corners whose solve succeeded only after ladder escalation.
   std::size_t recovered = 0;
 
-  /// Summed receiver-scan accounting over the corners that ran: total
-  /// detector passes, adaptive refined points, and certified mask
-  /// crossings (all zero on fixed-plan sweeps except detector_passes).
+  /// Detector passes summed over the corners that ran.
   std::size_t scan_detector_passes = 0;
-  std::size_t scan_refined_points = 0;
-  std::size_t scan_crossings = 0;
 
   /// Min over covered corners; +infinity when every corner was uncovered
   /// (so "nothing scored" can never read as a genuine 0.0 dB margin).
@@ -244,8 +223,7 @@ SweepSummary summarize_shard(const CornerGrid& grid, std::span<const CornerResul
 /// (corners_done, corners_total). Runs on whichever worker finished the
 /// corner, concurrently with other workers — it must be thread-safe and
 /// cheap, and it observes completion order, not grid order. run() counts
-/// the corners of its shard (restored checkpoint corners first);
-/// refine() counts only the corners it evaluates.
+/// the corners of its shard (restored checkpoint corners first).
 using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
 /// Thrown by SweepRunner::run when RunOptions::stop was raised: workers
@@ -281,44 +259,6 @@ struct RunOptions {
   const std::atomic<bool>* stop = nullptr;
 };
 
-/// One scenario-axis subdivision: insert `value` into axis `axis` after
-/// its value index `after` (indices refer to the grid the plan was
-/// computed from). Values are geometric midpoints — the axes the planner
-/// refines are positive physical quantities swept log-like.
-struct AxisInsertion {
-  AxisId axis = AxisId::kLineLength;
-  std::size_t after = 0;
-  double value = 0.0;
-
-  bool operator==(const AxisInsertion&) const = default;
-};
-
-/// Scenario-axis refinement plan from a finished sweep's worst-margin
-/// table: for every numeric axis (line length, load, RBW, supply scale)
-/// whose per-value worst margins flip between pass (>= 0 dB) and fail,
-/// subdivide that pass/fail boundary with the geometric midpoint of the
-/// two axis values. Values with no covered corner (+inf sentinel) never
-/// form a boundary. Deterministic: a pure function of (grid, summary).
-std::vector<AxisInsertion> plan_axis_refinement(const CornerGrid& grid,
-                                                const SweepSummary& summary);
-
-/// Apply a refinement plan to the axes that produced it: each insertion
-/// lands after its `after` index, keeping the axis sorted as given.
-CornerAxes apply_refinement(const CornerAxes& axes,
-                            std::span<const AxisInsertion> plan);
-
-/// Result of one refinement stage: the subdivided grid, a full
-/// SweepOutcome over it (carried-over corners keep their prior results
-/// bit-for-bit; only corners touching an inserted axis value were
-/// evaluated), and the plan that produced it.
-struct RefineOutcome {
-  CornerGrid grid{CornerAxes{}};  ///< placeholder until a driver fills it
-  SweepOutcome outcome;
-  std::vector<AxisInsertion> plan;
-  std::size_t reused = 0;     ///< corners copied from the prior outcome
-  std::size_t evaluated = 0;  ///< corners newly evaluated
-};
-
 /// Owns the thread pool and one Workspace per worker.
 class SweepRunner {
  public:
@@ -343,34 +283,7 @@ class SweepRunner {
   /// cooperative abort. See RunOptions.
   SweepOutcome run(const CornerGrid& grid, const CornerFn& fn, const RunOptions& opt);
 
-  /// Scenario-axis refinement stage: subdivide `grid`'s axes around the
-  /// pass/fail boundaries in `prior.summary` (plan_axis_refinement),
-  /// carry every prior corner's result over to the refined grid
-  /// unchanged, and evaluate only the corners touching an inserted axis
-  /// value through `fn` (worker memos apply — new corners are claimed in
-  /// grid order, so runs sharing a transient still hit). `prior` must be
-  /// a whole-grid outcome (results.size() == grid.size()); journaling and
-  /// abort are not supported here (opt.journal_path/stop are ignored).
-  /// An empty plan returns the prior outcome re-labelled on a copy of the
-  /// grid. Deterministic for any worker count, like run().
-  RefineOutcome refine(const CornerGrid& grid, const SweepOutcome& prior,
-                       const CornerFn& fn, const RunOptions& opt = {});
-
  private:
-  /// The corner core of run() and refine(): evaluate the grid corners
-  /// `todo` (ascending grid indices) through `fn` on the pool, corner
-  /// todo[k] landing in results[todo[k] - base] (a default CornerResult
-  /// on entry, which an isolated failure fills). Failure isolation,
-  /// journaling (when `journal` is non-null), cooperative
-  /// stop and progress (counting on from `done` of `total`) all live
-  /// here. Returns the corners done when the pool drained; fewer than
-  /// `total` means opt.stop cut the run short.
-  std::size_t evaluate(const CornerGrid& grid, std::span<const std::size_t> todo,
-                       std::size_t base, std::span<CornerResult> results,
-                       const CornerFn& fn, const RunOptions& opt,
-                       robust::JournalWriter* journal, std::size_t done,
-                       std::size_t total);
-
   ThreadPool pool_;
   std::vector<Workspace> workspaces_;
 };
@@ -431,15 +344,6 @@ struct EmissionSweepConfig {
   /// fails. The ladder schedule is a pure function of the corner, so
   /// retried sweeps stay deterministic for any worker count.
   robust::RetryPolicy retry;
-
-  /// How each corner lays out its receiver scan: kFixed runs the classic
-  /// rx.n_points log grid; kAdaptive runs the coarse-pass + certified
-  /// refinement planner (spec::adaptive_scan) under `adaptive`, spending
-  /// detector passes only where the spectrum approaches or crosses the
-  /// mask. Both are pure per scenario, so either keeps the sweep's
-  /// determinism contract.
-  spec::ScanPlan scan_plan = spec::ScanPlan::kFixed;
-  spec::AdaptiveScanConfig adaptive;
 };
 
 /// Build the corner function running the full pipeline:
@@ -450,12 +354,11 @@ struct EmissionSweepConfig {
 ///
 /// The supply axis is applied as a first-order approximation: port
 /// waveforms (and thus emission levels) scale ~linearly with VDD, so the
-/// detector readings (fixed plan) or the steady record (adaptive plan) are
-/// multiplied by vdd_scale rather than re-estimating the macromodel per
-/// supply corner. The fixed plan scans each (transient, RBW) once per
-/// worker and scores its supply/detector corners from that scan. The
-/// config is copied into the returned closure; only `model` is referenced
-/// and must outlive it.
+/// detector readings are multiplied by vdd_scale rather than re-estimating
+/// the macromodel per supply corner. The receiver scans each (transient,
+/// RBW) once per worker and scores its supply/detector corners from that
+/// scan. The config is copied into the returned closure; only `model` is
+/// referenced and must outlive it.
 CornerFn make_emission_corner_fn(const EmissionSweepConfig& cfg);
 
 /// Scheduling chunk for the emission pipeline: corners differing only in

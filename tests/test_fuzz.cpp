@@ -44,7 +44,7 @@ CornerResult journal_corner(const Scenario& sc, Workspace&) {
     r.report.worst_index = 0;
     r.report.pass = m >= 0.0;
   }
-  r.scan = ScanCounts{0, 2, 0};
+  r.scan_passes = 2;
   r.solve.steps = 100 + static_cast<long>(sc.index);
   return r;
 }

@@ -2,7 +2,7 @@
 // parser (every exported document must parse back), the sharded metric
 // registry (deterministic merges across threads, kill switch), the span
 // tracer (nesting, concurrent per-thread rings, overflow accounting,
-// Chrome trace export) and the RunReport builder.
+// untouched ring storage, Chrome trace export) and the RunReport builder.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/resource.hpp"
 #include "obs/trace.hpp"
 #include "test_temp_path.hpp"
 
@@ -320,6 +321,26 @@ TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {
   EXPECT_STREQ(events[1].name, "s7");
   EXPECT_STREQ(events[2].name, "s8");
   EXPECT_STREQ(events[3].name, "s9");
+}
+
+TEST(ObsTrace, LargeRingStaysUntouchedUntilWritten) {
+  // A thread's ring is allocated at its first span, but only the slots
+  // written become resident: one span into a 1 Mi-event ring (32 MiB of
+  // TraceEvent) must not fault the whole ring in.
+  const obs::ResourceUsage before = obs::sample_resources();
+  if (before.rss_is_peak) GTEST_SKIP() << "no current-RSS source (statm)";
+  constexpr std::size_t kCapacity = 1 << 20;
+  obs::Tracer tracer(kCapacity);
+  tracer.install();
+  { obs::Span s("one"); }
+  tracer.uninstall();
+  const obs::ResourceUsage after = obs::sample_resources();
+  ASSERT_EQ(tracer.events().size(), 1u);
+
+  const std::uint64_t ring_bytes = kCapacity * sizeof(obs::TraceEvent);
+  const std::uint64_t grown =
+      after.rss_bytes > before.rss_bytes ? after.rss_bytes - before.rss_bytes : 0;
+  EXPECT_LT(grown, ring_bytes / 8) << "ring of " << ring_bytes << " bytes";
 }
 
 TEST(ObsTrace, SingleInstallContractAndReinstall) {

@@ -47,32 +47,10 @@ int usage() {
   return 2;
 }
 
-// Human-readable footer for the receiver-scan accounting of a sweep
-// summary (RunReports keep it under sweep.summary, bench docs under
-// summary). Older documents predate the fields and print nothing.
-void show_scan_section(const Json& doc) {
-  const Json* summary = nullptr;
-  if (const Json* sweep = doc.find("sweep")) summary = sweep->find("summary");
-  if (!summary) summary = doc.find("summary");
-  if (!summary) return;
-  const Json* passes = summary->find("scan_detector_passes");
-  const Json* refined = summary->find("scan_refined_points");
-  const Json* crossings = summary->find("scan_crossings");
-  if (!passes || !refined || !crossings) return;
-
-  const double p = passes->as_double();
-  const double r = refined->as_double();
-  std::printf("receiver scan: %.0f detector passes, %.0f adaptive refinements",
-              p, r);
-  if (p > 0.0) std::printf(" (%.1f%%)", 100.0 * r / p);
-  std::printf(", %.0f mask crossings certified\n", crossings->as_double());
-}
-
 int cmd_show(const std::vector<std::string>& args) {
   if (args.size() != 1) return usage();
   const Json doc = Json::parse_file(args[0]);
   std::printf("%s\n", doc.dump().c_str());
-  show_scan_section(doc);
   return 0;
 }
 
